@@ -11,7 +11,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -S .
+# Configures a build tree and fails on any CMake warning: a warning-free
+# configure is part of the contract (e.g. an unsafe runtime search path
+# that lets another libz.so.1 shadow the system one).
+configure() {
+  local log
+  log="$(cmake "$@" 2>&1)"
+  printf '%s\n' "$log"
+  if grep -q "CMake Warning" <<< "$log"; then
+    echo "configure FAILED: cmake $* printed a CMake Warning (see above)" >&2
+    exit 1
+  fi
+}
+
+configure -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
@@ -375,7 +388,7 @@ fi
 # the estimator's cell bookkeeping, and the journal's recovery/truncation
 # paths are exercised with checking on before merge.
 if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
-  cmake -B build-asan -S . -DQUFI_SANITIZE=ON -DQUFI_BUILD_BENCHES=OFF \
+  configure -B build-asan -S . -DQUFI_SANITIZE=ON -DQUFI_BUILD_BENCHES=OFF \
     -DQUFI_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j --target test_kernels test_sim test_adaptive \
     test_dispatcher

@@ -1,10 +1,12 @@
 #include "backend/density_backend.hpp"
 
 #include <algorithm>
+#include <array>
 #include <complex>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "backend/snapshot_io.hpp"
 #include "circuit/moments.hpp"
@@ -552,6 +554,15 @@ std::string injection_shape_key(std::span<const Instruction> injected) {
   return w.data();
 }
 
+/// True when two injections have the same shape — the fields
+/// injection_shape_key encodes, compared in place without building keys.
+bool same_injection_shape(std::span<const Instruction> a,
+                          std::span<const Instruction> b) {
+  return std::ranges::equal(a, b, [](const auto& x, const auto& y) {
+    return x.kind == y.kind && x.qubits == y.qubits;
+  });
+}
+
 /// Density-matrix state captured after a circuit prefix, together with the
 /// compaction maps, the circuit whose suffix run_suffix will replay, and a
 /// lazily-built cache of the compiled suffix program so every batch chunk
@@ -625,12 +636,15 @@ class DensitySnapshot final : public PrefixSnapshot {
   /// against one snapshot share the basis, so per-config results are
   /// independent of batch granularity (the shard byte-identity contract).
   template <typename BuildFn>
-  const SuffixResponseBasis& response_basis(const std::vector<int>& targets,
+  const SuffixResponseBasis& response_basis(std::span<const int> targets,
                                             const std::string& shape,
                                             BuildFn&& build) const {
     std::lock_guard<std::mutex> lock(response_mutex_);
     for (const auto& basis : response_bases_) {
-      if (basis->targets == targets && basis->shape == shape) return *basis;
+      if (std::ranges::equal(basis->targets, targets) &&
+          basis->shape == shape) {
+        return *basis;
+      }
     }
     response_bases_.push_back(
         std::make_unique<SuffixResponseBasis>(build(targets)));
@@ -725,7 +739,7 @@ DensitySnapshot::CompiledSuffix compile_idle_suffix(
 /// the response-path eligibility scan under idle noise: an op on a target
 /// ahead of the last Inject slot would have to commute past the config's
 /// slot channel, which only disjoint-qubit ops do.
-bool op_touches(const BakedOp& op, const std::vector<int>& targets) {
+bool op_touches(const BakedOp& op, std::span<const int> targets) {
   const auto has = [&](int q) {
     return std::find(targets.begin(), targets.end(), q) != targets.end();
   };
@@ -753,7 +767,7 @@ bool op_touches(const BakedOp& op, const std::vector<int>& targets) {
 /// busy in its own injection moment), and everything is baked into the
 /// basis replay.
 bool idle_response_eligible(const DensitySnapshot::CompiledSuffix& compiled,
-                            const std::vector<int>& targets) {
+                            std::span<const int> targets) {
   std::ptrdiff_t last_inject = -1;
   for (std::size_t i = 0; i < compiled.ops.size(); ++i) {
     if (compiled.ops[i].kind == BakedOp::Kind::Inject) {
@@ -774,7 +788,7 @@ bool idle_response_eligible(const DensitySnapshot::CompiledSuffix& compiled,
 /// replay per basis element, amortized over every config that shares the
 /// targets.
 SuffixResponseBasis build_response_basis(
-    const DensitySnapshot& snap, const std::vector<int>& targets,
+    const DensitySnapshot& snap, std::span<const int> targets,
     const DensitySnapshot::CompiledSuffix& compiled) {
   const int k = static_cast<int>(targets.size());
   const std::uint64_t m = std::uint64_t{1} << k;
@@ -799,7 +813,7 @@ SuffixResponseBasis build_response_basis(
   }
 
   SuffixResponseBasis basis;
-  basis.targets = targets;
+  basis.targets.assign(targets.begin(), targets.end());
   basis.num_outcomes = std::size_t{1} << compiled.resolver.num_clbits;
   basis.responses.resize(m * m * m * m * basis.num_outcomes);
   // One scratch matrix refilled in place per basis element — the m^4 loop
@@ -833,41 +847,86 @@ SuffixResponseBasis build_response_basis(
   return basis;
 }
 
+/// Compact target qubits of a response-path config: at most two, kept
+/// ascending. Inline storage, so grouping a config allocates nothing.
+struct TargetSet {
+  std::array<int, 2> qubits{};
+  std::size_t size = 0;
+
+  std::span<const int> view() const { return {qubits.data(), size}; }
+  bool contains(int q) const {
+    return std::find(qubits.begin(), qubits.begin() + size, q) !=
+           qubits.begin() + size;
+  }
+  bool operator==(const TargetSet& other) const {
+    return std::ranges::equal(view(), other.view());
+  }
+};
+
+/// One injected gate of a response-path config, resolved once per config:
+/// its slot in the target set, its unitary, and its noise superop (null
+/// when the gate is noiseless or the model ideal).
+struct SlotGate {
+  int slot = 0;
+  util::Mat2 u{};
+  const util::Mat4* superop = nullptr;
+};
+
+/// Per-batch scratch of slot_channel_weights: one tiny density matrix per
+/// target-set size, built on first use and refilled in place per unit.
+class SlotScratch {
+ public:
+  sim::DensityMatrix& tiny(int k) {
+    auto& dm = tiny_[static_cast<std::size_t>(k - 1)];
+    if (!dm) dm.emplace(k);
+    return *dm;
+  }
+
+ private:
+  std::array<std::optional<sim::DensityMatrix>, 2> tiny_;
+};
+
 /// Weights of one config over a response basis: W_beta = Phi(|c><d|)[a][b],
 /// where Phi is the config's slot channel — its injected unitaries composed
 /// with the same per-qubit noise channels the replay path applies. Computed
 /// by evolving each slot matrix unit through a tiny k-qubit density matrix
 /// with the same kernels, so the channel semantics match execute() exactly.
+/// Each injected gate's slot, matrix and superop are resolved once per
+/// config (into arena storage, so any number of gates fits), not once per
+/// (c, d) unit.
 std::span<std::complex<double>> slot_channel_weights(
-    util::Arena& arena, std::span<const Instruction> injected,
-    const std::vector<int>& targets, const std::vector<int>& to_compact,
-    const noise::NoiseModel& nm) {
+    util::Arena& arena, SlotScratch& scratch,
+    std::span<const Instruction> injected, std::span<const int> targets,
+    const std::vector<int>& to_compact, const noise::NoiseModel& nm) {
   const int k = static_cast<int>(targets.size());
   const std::uint64_t m = std::uint64_t{1} << k;
+  const auto gates = arena.alloc<SlotGate>(injected.size());
+  for (std::size_t g = 0; g < injected.size(); ++g) {
+    const Instruction& instr = injected[g];
+    const int compact = to_compact[static_cast<std::size_t>(instr.qubits[0])];
+    const auto it = std::find(targets.begin(), targets.end(), compact);
+    require(it != targets.end(),
+            "slot_channel_weights: injected qubit outside the target set");
+    gates[g].slot = static_cast<int>(it - targets.begin());
+    gates[g].u = circ::gate_matrix1(instr.kind, instr.params);
+    gates[g].superop =
+        nm.is_ideal() ? nullptr : nm.superop_after_1q(instr.kind,
+                                                      instr.qubits[0]);
+  }
   auto weights = arena.alloc_zeroed<std::complex<double>>(m * m * m * m);
-  sim::DensityMatrix tiny(k);
+  sim::DensityMatrix& tiny = scratch.tiny(k);
+  const std::span<sim::cplx> raw = tiny.mutable_raw();
   for (std::uint64_t c = 0; c < m; ++c) {
     for (std::uint64_t d = 0; d < m; ++d) {
-      const std::span<sim::cplx> raw = tiny.mutable_raw();
       std::fill(raw.begin(), raw.end(), sim::cplx{});
       raw[c * m + d] = 1.0;
-      for (const Instruction& instr : injected) {
-        const int compact =
-            to_compact[static_cast<std::size_t>(instr.qubits[0])];
-        int slot = 0;
-        while (targets[static_cast<std::size_t>(slot)] != compact) ++slot;
-        tiny.apply_unitary1(circ::gate_matrix1(instr.kind, instr.params),
-                            slot);
-        if (!nm.is_ideal()) {
-          if (const auto* superop =
-                  nm.superop_after_1q(instr.kind, instr.qubits[0])) {
-            tiny.apply_superop1(*superop, slot);
-          }
-        }
+      for (const SlotGate& gate : gates) {
+        tiny.apply_unitary1(gate.u, gate.slot);
+        if (gate.superop) tiny.apply_superop1(*gate.superop, gate.slot);
       }
       for (std::uint64_t a = 0; a < m; ++a) {
         for (std::uint64_t b = 0; b < m; ++b) {
-          weights[((a * m + b) * m + c) * m + d] = tiny.at(a, b);
+          weights[((a * m + b) * m + c) * m + d] = raw[a * m + b];
         }
       }
     }
@@ -1211,19 +1270,36 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
   // snapshot with no allocation). Moment-aware snapshots compile one suffix
   // per injection *shape* (the spliced schedule depends on where the fault
   // gates land); a single-fault grid has one shape, a double-fault slice
-  // one per neighbor.
+  // one per neighbor. shape_of[c] indexes shape_keys (non-idle batches have
+  // the one empty shape); configs match the batch's distinct shapes in
+  // place, so a key is built and the snapshot's cache consulted once per
+  // shape, not once per config.
   const DensitySnapshot::CompiledSuffix* shared_compiled =
       idle ? nullptr : &snap->compiled_suffix(noise_model_);
   std::vector<const DensitySnapshot::CompiledSuffix*> compiled_of(
       configs.size(), shared_compiled);
-  std::vector<std::string> shape_of(configs.size());
+  std::vector<std::string> shape_keys(1);
+  std::vector<std::size_t> shape_of(configs.size(), 0);
   if (idle) {
+    shape_keys.clear();
+    std::vector<std::size_t> shape_first;  // first config of each shape
     for (std::size_t c = 0; c < configs.size(); ++c) {
       if (needs_splice[c]) continue;
-      shape_of[c] = injection_shape_key(configs[c].injected);
-      compiled_of[c] = &snap->compiled_idle_suffix(shape_of[c], [&] {
-        return compile_idle_suffix(*snap, configs[c].injected, noise_model_);
-      });
+      std::size_t s = 0;
+      while (s < shape_first.size() &&
+             !same_injection_shape(configs[shape_first[s]].injected,
+                                   configs[c].injected)) {
+        ++s;
+      }
+      if (s == shape_first.size()) {
+        shape_first.push_back(c);
+        shape_keys.push_back(injection_shape_key(configs[c].injected));
+        compiled_of[c] = &snap->compiled_idle_suffix(shape_keys[s], [&] {
+          return compile_idle_suffix(*snap, configs[c].injected, noise_model_);
+        });
+      }
+      shape_of[c] = s;
+      compiled_of[c] = compiled_of[shape_first[s]];
     }
   }
   const std::string backend_name = name();
@@ -1237,16 +1313,19 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
   // Everything else (small groups, splice fallbacks, exotic injections)
   // takes the replay path below.
   struct ResponseGroup {
-    std::vector<int> targets;
-    std::string shape;
-    std::vector<std::size_t> config_indices;
+    TargetSet targets;
+    std::size_t shape = 0;  ///< index into shape_keys
+    std::size_t num_configs = 0;
+    std::size_t first_config = 0;
+    bool enabled = false;
+    const SuffixResponseBasis* basis = nullptr;  ///< resolved on first use
   };
   std::vector<ResponseGroup> groups;
   std::vector<std::ptrdiff_t> group_of(configs.size(), -1);
   if (suffix_response_enabled_) {
     for (std::size_t c = 0; c < configs.size(); ++c) {
       if (needs_splice[c] || configs[c].injected.empty()) continue;
-      std::vector<int> targets;
+      TargetSet targets;
       bool eligible = true;
       for (const auto& instr : configs[c].injected) {
         if (circ::gate_info(instr.kind).num_qubits != 1) {
@@ -1254,39 +1333,42 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
           break;
         }
         const int q = to_compact[static_cast<std::size_t>(instr.qubits[0])];
-        if (std::find(targets.begin(), targets.end(), q) == targets.end()) {
-          targets.push_back(q);
+        if (targets.contains(q)) continue;
+        if (targets.size == targets.qubits.size()) {
+          eligible = false;  // a third distinct target qubit
+          break;
         }
+        targets.qubits[targets.size++] = q;
       }
-      if (!eligible || targets.size() > 2) continue;
-      std::sort(targets.begin(), targets.end());
+      if (!eligible) continue;
+      if (targets.size == 2 && targets.qubits[1] < targets.qubits[0]) {
+        std::swap(targets.qubits[0], targets.qubits[1]);
+      }
       auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
         return g.targets == targets && g.shape == shape_of[c];
       });
       if (it == groups.end()) {
-        groups.push_back(ResponseGroup{std::move(targets), shape_of[c], {}});
+        groups.push_back(ResponseGroup{targets, shape_of[c], 0, c});
         it = groups.end() - 1;
       }
-      it->config_indices.push_back(c);
+      ++it->num_configs;
       group_of[c] = it - groups.begin();
     }
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const std::size_t threshold = groups[g].targets.size() == 1
+    for (ResponseGroup& group : groups) {
+      const std::size_t threshold = group.targets.size == 1
                                         ? kResponseMinConfigs1q
                                         : kResponseMinConfigs2q;
       // Below break-even, or a moment-aware shape whose pre-injection ops
       // touch a target (the slot channel would not factor out): replay
       // path. Both predicates are pure functions of the batch contents, so
       // the choice is identical across chunkings and shardings.
-      const bool ineligible =
-          groups[g].config_indices.size() < threshold ||
-          (idle && !idle_response_eligible(
-                       *compiled_of[groups[g].config_indices.front()],
-                       groups[g].targets));
-      if (ineligible) {
-        for (const std::size_t c : groups[g].config_indices) group_of[c] = -1;
-        groups[g].config_indices.clear();
-      }
+      group.enabled =
+          group.num_configs >= threshold &&
+          (!idle || idle_response_eligible(*compiled_of[group.first_config],
+                                           group.targets.view()));
+    }
+    for (std::ptrdiff_t& g : group_of) {
+      if (g >= 0 && !groups[static_cast<std::size_t>(g)].enabled) g = -1;
     }
   }
 
@@ -1301,6 +1383,7 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
   // comes from one arena: after the first config its blocks are warm and
   // the steady-state loop allocates nothing.
   util::Arena arena;
+  SlotScratch slot_scratch;
   for (std::size_t c = 0; c < configs.size(); ++c) {
     arena.reset();
     const SuffixConfig& config = configs[c];
@@ -1311,13 +1394,18 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
       continue;
     }
     if (group_of[c] >= 0) {
-      const ResponseGroup& group = groups[static_cast<std::size_t>(group_of[c])];
-      const SuffixResponseBasis& basis = snap->response_basis(
-          group.targets, group.shape, [&](const std::vector<int>& targets) {
-            return build_response_basis(*snap, targets, *compiled_of[c]);
-          });
-      const auto weights = slot_channel_weights(
-          arena, config.injected, group.targets, to_compact, noise_model_);
+      ResponseGroup& group = groups[static_cast<std::size_t>(group_of[c])];
+      if (!group.basis) {
+        group.basis = &snap->response_basis(
+            group.targets.view(), shape_keys[group.shape],
+            [&](std::span<const int> targets) {
+              return build_response_basis(*snap, targets, *compiled_of[c]);
+            });
+      }
+      const SuffixResponseBasis& basis = *group.basis;
+      const auto weights =
+          slot_channel_weights(arena, slot_scratch, config.injected,
+                               group.targets.view(), to_compact, noise_model_);
       const auto acc = arena.alloc_zeroed<std::complex<double>>(
           basis.num_outcomes);
       for (std::size_t beta = 0; beta < weights.size(); ++beta) {

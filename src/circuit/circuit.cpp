@@ -20,15 +20,17 @@ QuantumCircuit& QuantumCircuit::set_name(std::string name) {
 }
 
 void QuantumCircuit::check_qubit(int q) const {
-  require(q >= 0 && q < num_qubits_,
-          "qubit index " + std::to_string(q) + " out of range [0, " +
-              std::to_string(num_qubits_) + ")");
+  if (!(q >= 0 && q < num_qubits_)) {
+    throw Error("qubit index " + std::to_string(q) + " out of range [0, " +
+                    std::to_string(num_qubits_) + ")");
+  }
 }
 
 void QuantumCircuit::check_clbit(int c) const {
-  require(c >= 0 && c < num_clbits_,
-          "clbit index " + std::to_string(c) + " out of range [0, " +
-              std::to_string(num_clbits_) + ")");
+  if (!(c >= 0 && c < num_clbits_)) {
+    throw Error("clbit index " + std::to_string(c) + " out of range [0, " +
+                    std::to_string(num_clbits_) + ")");
+  }
 }
 
 QuantumCircuit& QuantumCircuit::add1(GateKind kind, int q) {
@@ -85,29 +87,33 @@ QuantumCircuit& QuantumCircuit::reset(int qubit) {
 QuantumCircuit& QuantumCircuit::append(Instruction instr) {
   const auto& info = gate_info(instr.kind);
   if (info.num_qubits > 0) {
-    require(static_cast<int>(instr.qubits.size()) == info.num_qubits,
-            std::string(info.name) + ": expected " +
-                std::to_string(info.num_qubits) + " qubits, got " +
-                std::to_string(instr.qubits.size()));
+    if (static_cast<int>(instr.qubits.size()) != info.num_qubits) {
+      throw Error(std::string(info.name) + ": expected " +
+                      std::to_string(info.num_qubits) + " qubits, got " +
+                      std::to_string(instr.qubits.size()));
+    }
   } else {
     require(!instr.qubits.empty(), "barrier: needs at least one qubit");
   }
-  require(static_cast<int>(instr.params.size()) == info.num_params,
-          std::string(info.name) + ": expected " +
-              std::to_string(info.num_params) + " params, got " +
-              std::to_string(instr.params.size()));
+  if (static_cast<int>(instr.params.size()) != info.num_params) {
+    throw Error(std::string(info.name) + ": expected " +
+                    std::to_string(info.num_params) + " params, got " +
+                    std::to_string(instr.params.size()));
+  }
   for (int q : instr.qubits) check_qubit(q);
   for (std::size_t a = 0; a < instr.qubits.size(); ++a)
     for (std::size_t b = a + 1; b < instr.qubits.size(); ++b)
-      require(instr.qubits[a] != instr.qubits[b],
-              std::string(info.name) + ": duplicate qubit operand " +
-                  std::to_string(instr.qubits[a]));
+      if (instr.qubits[a] == instr.qubits[b]) {
+        throw Error(std::string(info.name) + ": duplicate qubit operand " +
+                        std::to_string(instr.qubits[a]));
+      }
   if (instr.kind == GateKind::Measure) {
     require(instr.clbits.size() == 1, "measure: needs exactly one clbit");
     check_clbit(instr.clbits[0]);
   } else {
-    require(instr.clbits.empty(),
-            std::string(info.name) + ": unexpected clbit operands");
+    if (!instr.clbits.empty()) {
+      throw Error(std::string(info.name) + ": unexpected clbit operands");
+    }
   }
   instructions_.push_back(std::move(instr));
   return *this;
@@ -142,9 +148,10 @@ QuantumCircuit QuantumCircuit::inverse() const {
       inv.append(*it);
       continue;
     }
-    require(it->is_unitary(),
-            std::string("inverse: circuit contains non-unitary op ") +
-                it->name());
+    if (!it->is_unitary()) {
+      throw Error(std::string("inverse: circuit contains non-unitary op ") +
+                      it->name());
+    }
     const auto ig = gate_inverse(it->kind, it->params);
     Instruction instr;
     instr.kind = ig.kind;

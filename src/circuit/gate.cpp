@@ -48,10 +48,11 @@ const GateInfo kInfos[] = {
 
 void check_params(GateKind kind, std::span<const double> params) {
   const auto& info = gate_info(kind);
-  qufi::require(static_cast<int>(params.size()) == info.num_params,
-                std::string("gate ") + info.name + ": expected " +
-                    std::to_string(info.num_params) + " params, got " +
-                    std::to_string(params.size()));
+  if (static_cast<int>(params.size()) != info.num_params) {
+    throw qufi::Error(std::string("gate ") + info.name + ": expected " +
+                          std::to_string(info.num_params) + " params, got " +
+                          std::to_string(params.size()));
+  }
 }
 
 }  // namespace
@@ -69,7 +70,7 @@ GateKind gate_from_name(const std::string& name) {
     return m;
   }();
   const auto it = kByName.find(name);
-  qufi::require(it != kByName.end(), "unknown gate name: " + name);
+  if (it == kByName.end()) throw qufi::Error("unknown gate name: " + name);
   return it->second;
 }
 

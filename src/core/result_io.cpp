@@ -124,8 +124,9 @@ std::string read_exact(std::ifstream& in, std::uint64_t size,
                        const std::string& path, const std::string& what) {
   std::string buf(static_cast<std::size_t>(size), '\0');
   if (size > 0) in.read(buf.data(), static_cast<std::streamsize>(size));
-  require(static_cast<std::uint64_t>(in.gcount()) == size && !in.bad(),
-          "result file " + path + ": truncated in " + what);
+  if (!(static_cast<std::uint64_t>(in.gcount()) == size && !in.bad())) {
+    throw Error("result file " + path + ": truncated in " + what);
+  }
   in.clear();
   return buf;
 }
@@ -157,8 +158,9 @@ ResultWriter::ResultWriter(std::string path, const ResultFileHeader& header,
                  std::to_string(counter.fetch_add(1));
   }
   out_.open(temp_path_, std::ios::binary | std::ios::trunc);
-  require(out_.is_open(),
-          "ResultWriter: cannot create output file: " + temp_path_);
+  if (!out_.is_open()) {
+    throw Error("ResultWriter: cannot create output file: " + temp_path_);
+  }
 
   util::ByteWriter head;
   head.raw(kResultMagic, sizeof(kResultMagic));
@@ -172,7 +174,7 @@ ResultWriter::ResultWriter(std::string path, const ResultFileHeader& header,
   out_.write(head.data().data(),
              static_cast<std::streamsize>(head.size()));
   if (mode_ == WriteMode::Live) out_.flush();
-  require(out_.good(), "ResultWriter: write failed: " + temp_path_);
+  if (!out_.good()) throw Error("ResultWriter: write failed: " + temp_path_);
   bytes_written_ = head.size();
 }
 
@@ -257,7 +259,7 @@ void ResultWriter::write_block_locked(
   // block by block, and an ofstream-buffered block would stall the
   // incremental-merge frontier until the next flush.
   if (mode_ == WriteMode::Live) out_.flush();
-  require(out_.good(), "ResultWriter: write failed: " + temp_path_);
+  if (!out_.good()) throw Error("ResultWriter: write failed: " + temp_path_);
   bytes_written_ += frame.size();
 }
 
@@ -276,7 +278,7 @@ void ResultWriter::finish(std::uint64_t executions, std::uint64_t injections) {
   frame.u64(util::fnv1a64(body.data()));
   out_.write(frame.data().data(),
              static_cast<std::streamsize>(frame.size()));
-  require(out_.good(), "ResultWriter: write failed: " + temp_path_);
+  if (!out_.good()) throw Error("ResultWriter: write failed: " + temp_path_);
   bytes_written_ += frame.size();
   // Rewrite the header in place with the final metadata (see set_meta) —
   // same byte size, so the block offsets that follow are untouched.
@@ -293,7 +295,7 @@ void ResultWriter::finish(std::uint64_t executions, std::uint64_t injections) {
   out_.write(head_sum.data().data(),
              static_cast<std::streamsize>(head_sum.size()));
   out_.flush();
-  require(out_.good(), "ResultWriter: write failed: " + temp_path_);
+  if (!out_.good()) throw Error("ResultWriter: write failed: " + temp_path_);
   out_.close();
   if (mode_ != WriteMode::Live &&
       std::rename(temp_path_.c_str(), path_.c_str()) != 0) {
@@ -306,38 +308,43 @@ void ResultWriter::finish(std::uint64_t executions, std::uint64_t injections) {
 ResultReader::ResultReader(std::string path, ReadMode mode)
     : path_(std::move(path)) {
   in_.open(path_, std::ios::binary);
-  require(in_.is_open(), "result file " + path_ + ": cannot open");
+  if (!in_.is_open()) throw Error("result file " + path_ + ": cannot open");
   in_.seekg(0, std::ios::end);
   const std::uint64_t file_size = static_cast<std::uint64_t>(in_.tellg());
   in_.seekg(0, std::ios::beg);
 
   const std::string magic = read_exact(in_, sizeof(kResultMagic), path_,
                                        "magic");
-  require(std::memcmp(magic.data(), kResultMagic, sizeof(kResultMagic)) == 0,
-          "result file " + path_ + ": bad magic (not a QUFIPART file)");
+  if (std::memcmp(magic.data(), kResultMagic, sizeof(kResultMagic)) != 0) {
+    throw Error("result file " + path_ + ": bad magic (not a QUFIPART file)");
+  }
   std::uint32_t version = 0;
   {
     const std::string bytes = read_exact(in_, 4, path_, "version");
     util::ByteReader r(bytes);
     version = r.u32();
-    require(version >= 1 && version <= kResultVersion,
-            "result file " + path_ + ": unsupported container version " +
-                std::to_string(version));
+    if (!(version >= 1 && version <= kResultVersion)) {
+      throw Error("result file " + path_ + ": unsupported container version " +
+                      std::to_string(version));
+    }
   }
 
   const std::uint64_t header_size = read_u64(in_, path_, "header size");
-  require(header_size <= file_size,
-          "result file " + path_ + ": truncated in header");
+  if (header_size > file_size) {
+    throw Error("result file " + path_ + ": truncated in header");
+  }
   const std::string header_bytes =
       read_exact(in_, header_size, path_, "header");
   const std::uint64_t header_sum = read_u64(in_, path_, "header checksum");
-  require(util::fnv1a64(header_bytes) == header_sum,
-          "result file " + path_ + ": header checksum mismatch");
+  if (util::fnv1a64(header_bytes) != header_sum) {
+    throw Error("result file " + path_ + ": header checksum mismatch");
+  }
   {
     util::ByteReader r(header_bytes);
     header_ = decode_header(r, version);
-    require(r.at_end(),
-            "result file " + path_ + ": header has trailing bytes");
+    if (!r.at_end()) {
+      throw Error("result file " + path_ + ": header has trailing bytes");
+    }
   }
 
   // A live writer appends whole frames sequentially, so a still-growing (or
@@ -389,14 +396,16 @@ ResultReader::ResultReader(std::string path, ReadMode mode)
       blk.body_offset = body_offset;
       blk.body_size = body_size;
       blk.ordinal = ordinal;
-      require(body_size ==
-                  kBlockPrefixBytes + blk.info.num_records * kRecordBytes,
-              "result file " + path_ + ": " + label + ": size mismatch");
-      require(blk.info.num_records > 0 &&
-                  blk.info.first_point <= blk.info.last_point &&
-                  blk.info.last_point < header_.points.size(),
-              "result file " + path_ + ": " + label +
-                  ": invalid point range");
+      if (body_size !=
+              kBlockPrefixBytes + blk.info.num_records * kRecordBytes) {
+        throw Error("result file " + path_ + ": " + label + ": size mismatch");
+      }
+      if (!(blk.info.num_records > 0 &&
+                blk.info.first_point <= blk.info.last_point &&
+                blk.info.last_point < header_.points.size())) {
+        throw Error("result file " + path_ + ": " + label +
+                        ": invalid point range");
+      }
       blocks_.push_back(blk);
       // Skip the column arrays and the body checksum; read_block() verifies
       // the checksum when the body is actually consumed.
@@ -409,13 +418,15 @@ ResultReader::ResultReader(std::string path, ReadMode mode)
         break;
       }
       const std::uint64_t body_size = read_u64(in_, path_, "end marker size");
-      require(body_size == kEndBodyBytes,
-              "result file " + path_ + ": end marker: size mismatch");
+      if (body_size != kEndBodyBytes) {
+        throw Error("result file " + path_ + ": end marker: size mismatch");
+      }
       const std::string body =
           read_exact(in_, body_size, path_, "end marker");
       const std::uint64_t sum = read_u64(in_, path_, "end marker checksum");
-      require(util::fnv1a64(body) == sum,
-              "result file " + path_ + ": end marker checksum mismatch");
+      if (util::fnv1a64(body) != sum) {
+        throw Error("result file " + path_ + ": end marker checksum mismatch");
+      }
       util::ByteReader r(body);
       total_records_ = r.u64();
       executions_ = r.u64();
@@ -427,17 +438,20 @@ ResultReader::ResultReader(std::string path, ReadMode mode)
     }
   }
   if (sealed_) {
-    require(in_.peek() == std::ifstream::traits_type::eof(),
-            "result file " + path_ + ": trailing bytes after end marker");
+    if (in_.peek() != std::ifstream::traits_type::eof()) {
+      throw Error("result file " + path_ + ": trailing bytes after end marker");
+    }
   }
   in_.clear();
 
   for (const auto& b : blocks_) indexed_records_ += b.info.num_records;
   if (sealed_) {
-    require(indexed_records_ == total_records_,
-            "result file " + path_ + ": end marker record count mismatch (" +
-                std::to_string(indexed_records_) + " indexed, " +
-                std::to_string(total_records_) + " declared)");
+    if (indexed_records_ != total_records_) {
+      throw Error(
+          "result file " + path_ + ": end marker record count mismatch (" +
+              std::to_string(indexed_records_) + " indexed, " +
+              std::to_string(total_records_) + " declared)");
+    }
   }
 
   std::sort(blocks_.begin(), blocks_.end(),
@@ -445,11 +459,12 @@ ResultReader::ResultReader(std::string path, ReadMode mode)
               return a.info.first_point < b.info.first_point;
             });
   for (std::size_t i = 1; i < blocks_.size(); ++i) {
-    require(blocks_[i - 1].info.last_point < blocks_[i].info.first_point,
-            "result file " + path_ + ": blocks " +
-                std::to_string(blocks_[i - 1].ordinal) + " and " +
-                std::to_string(blocks_[i].ordinal) +
-                " have overlapping point ranges");
+    if (blocks_[i - 1].info.last_point >= blocks_[i].info.first_point) {
+      throw Error("result file " + path_ + ": blocks " +
+                      std::to_string(blocks_[i - 1].ordinal) + " and " +
+                      std::to_string(blocks_[i].ordinal) +
+                      " have overlapping point ranges");
+    }
   }
 }
 
@@ -463,16 +478,18 @@ std::vector<InjectionRecord> ResultReader::read_block(std::size_t i) {
   in_.seekg(static_cast<std::streamoff>(blk.body_offset), std::ios::beg);
   const std::string body = read_exact(in_, blk.body_size, path_, label);
   const std::uint64_t sum = read_u64(in_, path_, label + " checksum");
-  require(util::fnv1a64(body) == sum,
-          "result file " + path_ + ": " + label + ": checksum mismatch");
+  if (util::fnv1a64(body) != sum) {
+    throw Error("result file " + path_ + ": " + label + ": checksum mismatch");
+  }
 
   util::ByteReader r(body);
   const std::uint32_t first = r.u32();
   const std::uint32_t last = r.u32();
   const std::uint64_t n = r.u64();
-  require(first == blk.info.first_point && last == blk.info.last_point &&
-              n == blk.info.num_records,
-          "result file " + path_ + ": " + label + ": index mismatch");
+  if (!(first == blk.info.first_point && last == blk.info.last_point &&
+            n == blk.info.num_records)) {
+    throw Error("result file " + path_ + ": " + label + ": index mismatch");
+  }
   std::vector<InjectionRecord> records(static_cast<std::size_t>(n));
   for (auto& rec : records) rec.point_index = r.u32();
   for (auto& rec : records) rec.theta_index = bits_i32(r.u32());
@@ -483,16 +500,19 @@ std::vector<InjectionRecord> ResultReader::read_block(std::size_t i) {
   for (auto& rec : records) rec.qvf = r.f64();
   for (auto& rec : records) rec.pa = r.f64();
   for (auto& rec : records) rec.pb = r.f64();
-  require(r.at_end(),
-          "result file " + path_ + ": " + label + ": trailing bytes");
+  if (!r.at_end()) {
+    throw Error("result file " + path_ + ": " + label + ": trailing bytes");
+  }
   for (std::size_t k = 0; k < records.size(); ++k) {
     const auto& rec = records[k];
-    require(rec.point_index >= first && rec.point_index <= last,
-            "result file " + path_ + ": " + label +
-                ": record outside declared point range");
-    require(k == 0 || rec.point_index >= records[k - 1].point_index,
-            "result file " + path_ + ": " + label +
-                ": records not sorted by point index");
+    if (!(rec.point_index >= first && rec.point_index <= last)) {
+      throw Error("result file " + path_ + ": " + label +
+                      ": record outside declared point range");
+    }
+    if (!(k == 0 || rec.point_index >= records[k - 1].point_index)) {
+      throw Error("result file " + path_ + ": " + label +
+                      ": records not sorted by point index");
+    }
   }
   return records;
 }

@@ -41,7 +41,7 @@ WorkerBackendKind kind_from_name(const std::string& name) {
 
 void save_manifest(const ShardManifest& manifest, const std::string& path) {
   std::ofstream out(path);
-  require(out.is_open(), "manifest: cannot open for writing: " + path);
+  if (!out.is_open()) throw Error("manifest: cannot open for writing: " + path);
 
   // Written files always use the current format (use_tree is a v2 key,
   // idle_noise a v3 key, adaptive a v4 key), whatever version the in-memory
@@ -96,12 +96,12 @@ void save_manifest(const ShardManifest& manifest, const std::string& path) {
     out << "\n";
   }
   out << "end\n";
-  require(out.good(), "manifest: write failed: " + path);
+  if (!out.good()) throw Error("manifest: write failed: " + path);
 }
 
 ShardManifest load_manifest(const std::string& path) {
   std::ifstream in(path);
-  require(in.is_open(), "manifest: cannot open: " + path);
+  if (!in.is_open()) throw Error("manifest: cannot open: " + path);
 
   ShardManifest m;
   std::string line;
@@ -237,10 +237,11 @@ ShardManifest load_manifest(const std::string& path) {
       fail("unknown key: " + key);
     }
   }
-  require(saw_header, "manifest: empty file: " + path);
-  require(saw_circuit, "manifest: missing circuit block: " + path);
-  require(m.shard_count >= 1 && m.shard_index < m.shard_count,
-          "manifest: shard index/count out of range: " + path);
+  if (!saw_header) throw Error("manifest: empty file: " + path);
+  if (!saw_circuit) throw Error("manifest: missing circuit block: " + path);
+  if (!(m.shard_count >= 1 && m.shard_index < m.shard_count)) {
+    throw Error("manifest: shard index/count out of range: " + path);
+  }
   return m;
 }
 

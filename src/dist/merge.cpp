@@ -66,9 +66,10 @@ void require_adaptive_compatible(const CampaignMetadata& a,
 /// every point of the table contributed records — the estimator always
 /// evaluates at least its coarse lattice per point.
 void require_adaptive_coverage(const MissingPointReport& missing) {
-  require(missing.count == 0,
-          "merge: incomplete adaptive campaign (missing shard output?)" +
-              missing.describe());
+  if (missing.count != 0) {
+    throw Error("merge: incomplete adaptive campaign (missing shard output?)" +
+                    missing.describe());
+  }
 }
 
 /// Fills CampaignResult::point_estimates for a merged adaptive result by
@@ -176,17 +177,20 @@ CampaignResult merge_views(std::span<const ShardView> shards,
       const std::string& owner_label =
           shards[static_cast<std::size_t>(owner[p])].label;
       const std::uint32_t point = static_cast<std::uint32_t>(p);
-      require(buckets[p].size() == mine[p].size(),
-              conflict_message(owner_label, shards[s].label, point,
-                               std::to_string(buckets[p].size()) + " vs " +
-                                   std::to_string(mine[p].size()) +
-                                   " records"));
+      if (buckets[p].size() != mine[p].size()) {
+        throw Error(
+            conflict_message(owner_label, shards[s].label, point,
+                             std::to_string(buckets[p].size()) + " vs " +
+                                 std::to_string(mine[p].size()) +
+                                 " records"));
+      }
       for (std::size_t k = 0; k < mine[p].size(); ++k) {
-        require(record_matches(*buckets[p][k], *mine[p][k]),
-                conflict_message(owner_label, shards[s].label, point,
-                                 "record " + std::to_string(k) + " of " +
-                                     std::to_string(mine[p].size()) +
-                                     " differs"));
+        if (!record_matches(*buckets[p][k], *mine[p][k])) {
+          throw Error(conflict_message(owner_label, shards[s].label, point,
+                                       "record " + std::to_string(k) + " of " +
+                                           std::to_string(mine[p].size()) +
+                                           " differs"));
+        }
       }
     }
   }
@@ -330,15 +334,19 @@ std::uint64_t consume_duplicate_runs(std::vector<BlockStream>& streams,
   for (std::size_t i = owner + 1; i < streams.size(); ++i) {
     if (!streams[i].ready() || streams[i].point() != point) continue;
     const auto dup = streams[i].take_run();
-    require(dup.size() == run.size(),
-            conflict_message(streams[owner].label, streams[i].label, point,
-                             std::to_string(run.size()) + " vs " +
-                                 std::to_string(dup.size()) + " records"));
+    if (dup.size() != run.size()) {
+      throw Error(
+          conflict_message(streams[owner].label, streams[i].label, point,
+                           std::to_string(run.size()) + " vs " +
+                               std::to_string(dup.size()) + " records"));
+    }
     for (std::size_t k = 0; k < run.size(); ++k) {
-      require(record_matches(run[k], dup[k]),
-              conflict_message(streams[owner].label, streams[i].label, point,
-                               "record " + std::to_string(k) + " of " +
-                                   std::to_string(run.size()) + " differs"));
+      if (!record_matches(run[k], dup[k])) {
+        throw Error(
+            conflict_message(streams[owner].label, streams[i].label, point,
+                             "record " + std::to_string(k) + " of " +
+                                 std::to_string(run.size()) + " differs"));
+      }
     }
     dropped += dup.size();
   }
@@ -421,12 +429,13 @@ StreamingMergeStats run_file_merge(std::span<const std::string> inputs,
   }
 
   if (!options.allow_incomplete && expected > 0) {
-    require(stats.merged_records == expected,
-            "merge: incomplete campaign: " +
-                std::to_string(stats.merged_records) + " of " +
-                std::to_string(expected) +
-                " expected records (missing shard output?)" +
-                stats.missing.describe());
+    if (stats.merged_records != expected) {
+      throw Error("merge: incomplete campaign: " +
+                      std::to_string(stats.merged_records) + " of " +
+                      std::to_string(expected) +
+                      " expected records (missing shard output?)" +
+                      stats.missing.describe());
+    }
   }
   if (!options.allow_incomplete && first.meta.adaptive) {
     require_adaptive_coverage(stats.missing);

@@ -84,7 +84,7 @@ void write_partial(const std::string& path, const PartialResult& partial) {
 
 PartialResult read_partial(const std::string& path) {
   std::ifstream in(path);
-  require(in.is_open(), "partial: cannot open: " + path);
+  if (!in.is_open()) throw Error("partial: cannot open: " + path);
 
   PartialResult out;
   std::string line;
@@ -191,12 +191,14 @@ PartialResult read_partial(const std::string& path) {
       fail("number out of range");
     }
   }
-  require(saw_header, "partial: empty file: " + path);
-  require(out.shard_count >= 1 && out.shard_index < out.shard_count,
-          "partial: shard index/count out of range: " + path);
+  if (!saw_header) throw Error("partial: empty file: " + path);
+  if (!(out.shard_count >= 1 && out.shard_index < out.shard_count)) {
+    throw Error("partial: shard index/count out of range: " + path);
+  }
   for (const InjectionRecord& r : out.records) {
-    require(r.point_index < out.points.size(),
-            "partial: record references unknown point: " + path);
+    if (r.point_index >= out.points.size()) {
+      throw Error("partial: record references unknown point: " + path);
+    }
   }
   return out;
 }
@@ -230,8 +232,9 @@ PartialResult read_partial_any(const std::string& path) {
   out.meta.injections = file.injections;
   out.points = file.header.points;
   out.records = std::move(file.records);
-  require(out.shard_count >= 1 && out.shard_index < out.shard_count,
-          "partial: shard index/count out of range: " + path);
+  if (!(out.shard_count >= 1 && out.shard_index < out.shard_count)) {
+    throw Error("partial: shard index/count out of range: " + path);
+  }
   return out;
 }
 

@@ -34,7 +34,7 @@ SnapshotCachingBackend::SnapshotCachingBackend(backend::Backend& inner,
   context_hash_ = util::fnv1a64(inner_.name() + "\x1f" + key_context);
   std::error_code ec;
   fs::create_directories(cache_dir_, ec);
-  require(!ec, "snapshot cache: cannot create directory: " + cache_dir_);
+  if (ec) throw Error("snapshot cache: cannot create directory: " + cache_dir_);
 }
 
 std::string SnapshotCachingBackend::name() const { return inner_.name(); }

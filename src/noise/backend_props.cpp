@@ -59,9 +59,11 @@ double vary(double lo, double hi, int index) {
 
 const GateSpec& BackendProperties::cx_spec(int a, int b) const {
   const auto it = gate_2q.find(edge_key(a, b));
-  require(it != gate_2q.end(),
-          name + ": no cx calibration for edge (" + std::to_string(a) + ", " +
-              std::to_string(b) + ")");
+  if (it == gate_2q.end()) {
+    throw Error(
+        name + ": no cx calibration for edge (" + std::to_string(a) + ", " +
+            std::to_string(b) + ")");
+  }
   return it->second;
 }
 
@@ -71,23 +73,30 @@ bool BackendProperties::connected(int a, int b) const {
 }
 
 void BackendProperties::validate() const {
-  require(num_qubits > 0, name + ": no qubits");
-  require(static_cast<int>(qubits.size()) == num_qubits,
-          name + ": qubit property count mismatch");
-  require(static_cast<int>(gate_1q.size()) == num_qubits,
-          name + ": 1q gate spec count mismatch");
+  if (num_qubits <= 0) throw Error(name + ": no qubits");
+  if (static_cast<int>(qubits.size()) != num_qubits) {
+    throw Error(name + ": qubit property count mismatch");
+  }
+  if (static_cast<int>(gate_1q.size()) != num_qubits) {
+    throw Error(name + ": 1q gate spec count mismatch");
+  }
   for (const auto& [a, b] : coupling) {
-    require(a >= 0 && b < num_qubits && a < b,
-            name + ": bad coupling edge");
-    require(gate_2q.contains({a, b}), name + ": edge missing cx calibration");
+    if (!(a >= 0 && b < num_qubits && a < b)) {
+      throw Error(name + ": bad coupling edge");
+    }
+    if (!gate_2q.contains({a, b})) {
+      throw Error(name + ": edge missing cx calibration");
+    }
   }
   for (int q = 0; q < num_qubits; ++q) {
     const auto& qb = qubits[static_cast<std::size_t>(q)];
-    require(qb.t1_us > 0 && qb.t2_us > 0,
-            name + ": T1/T2 must be positive");
-    require(qb.t2_us <= 2.0 * qb.t1_us + 1e-9,
-            name + ": T2 must not exceed 2*T1 (qubit " + std::to_string(q) +
-                ")");
+    if (!(qb.t1_us > 0 && qb.t2_us > 0)) {
+      throw Error(name + ": T1/T2 must be positive");
+    }
+    if (!(qb.t2_us <= 2.0 * qb.t1_us + 1e-9)) {  // also rejects NaN
+      throw Error(name + ": T2 must not exceed 2*T1 (qubit " +
+                  std::to_string(q) + ")");
+    }
   }
 }
 

@@ -29,8 +29,9 @@ Mat2 pauli(char p) {
 }
 
 void check_prob(double p, const char* what) {
-  require(p >= 0.0 && p <= 1.0,
-          std::string(what) + ": probability out of [0, 1]");
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw Error(std::string(what) + ": probability out of [0, 1]");
+  }
 }
 
 }  // namespace

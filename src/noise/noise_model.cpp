@@ -111,8 +111,10 @@ NoiseModel NoiseModel::from_backend(const BackendProperties& props,
 const util::Mat4* NoiseModel::superop_after_1q(circ::GateKind kind,
                                                int qubit) const {
   if (ideal_ || !is_noisy_1q_gate(kind)) return nullptr;
-  require(qubit >= 0 && qubit < num_qubits(),
-          "NoiseModel: qubit out of range for source backend " + source_name_);
+  if (!(qubit >= 0 && qubit < num_qubits())) {
+    throw Error(
+        "NoiseModel: qubit out of range for source backend " + source_name_);
+  }
   return &superop_1q_[static_cast<std::size_t>(qubit)];
 }
 
@@ -158,8 +160,10 @@ std::vector<const KrausChannel1*> NoiseModel::channels_after_1q(
     circ::GateKind kind, int qubit) const {
   std::vector<const KrausChannel1*> out;
   if (ideal_ || !is_noisy_1q_gate(kind)) return out;
-  require(qubit >= 0 && qubit < num_qubits(),
-          "NoiseModel: qubit out of range for source backend " + source_name_);
+  if (!(qubit >= 0 && qubit < num_qubits())) {
+    throw Error(
+        "NoiseModel: qubit out of range for source backend " + source_name_);
+  }
   const auto& relax = relax_1q_[static_cast<std::size_t>(qubit)];
   const auto& depol = depol_1q_[static_cast<std::size_t>(qubit)];
   if (!relax.is_identity()) out.push_back(&relax);

@@ -124,24 +124,27 @@ void Dispatcher::replay_journal_locked(
   namespace fs = std::filesystem;
   const auto shard_of = [&](const JournalEvent& event) -> Shard& {
     Campaign* campaign = find_campaign_locked(event.campaign);
-    require(campaign != nullptr,
-            "journal " + options_.journal_path + ": record " +
-                std::to_string(event.seq) +
-                " references unknown campaign: " + event.campaign);
-    require(event.shard_index < campaign->shards.size(),
-            "journal " + options_.journal_path + ": record " +
-                std::to_string(event.seq) + " references shard " +
-                std::to_string(event.shard_index) + " beyond campaign " +
-                event.campaign);
+    if (campaign == nullptr) {
+      throw Error("journal " + options_.journal_path + ": record " +
+                      std::to_string(event.seq) +
+                      " references unknown campaign: " + event.campaign);
+    }
+    if (event.shard_index >= campaign->shards.size()) {
+      throw Error("journal " + options_.journal_path + ": record " +
+                      std::to_string(event.seq) + " references shard " +
+                      std::to_string(event.shard_index) + " beyond campaign " +
+                      event.campaign);
+    }
     return campaign->shards[event.shard_index];
   };
 
   for (const JournalEvent& event : events) {
     switch (event.type) {
       case JournalEventType::Submit: {
-        require(find_campaign_locked(event.campaign) == nullptr,
-                "journal " + options_.journal_path +
-                    ": duplicate submit for campaign: " + event.campaign);
+        if (find_campaign_locked(event.campaign) != nullptr) {
+          throw Error("journal " + options_.journal_path +
+                          ": duplicate submit for campaign: " + event.campaign);
+        }
         auto campaign = std::make_unique<Campaign>();
         campaign->name = event.campaign;
         campaign->priority = event.priority;
@@ -217,10 +220,11 @@ void Dispatcher::replay_journal_locked(
         break;  // post-mortem breadcrumb only, no state
       case JournalEventType::CampaignTerminal: {
         Campaign* campaign = find_campaign_locked(event.campaign);
-        require(campaign != nullptr,
-                "journal " + options_.journal_path +
-                    ": terminal record for unknown campaign: " +
-                    event.campaign);
+        if (campaign == nullptr) {
+          throw Error("journal " + options_.journal_path +
+                          ": terminal record for unknown campaign: " +
+                          event.campaign);
+        }
         if (event.detail.rfind("failed", 0) == 0) {
           campaign->state = CampaignState::Failed;
           campaign->error = event.detail.size() > 7 ? event.detail.substr(7)
@@ -345,18 +349,22 @@ void Dispatcher::journal_sync_locked() {
 
 void Dispatcher::submit(CampaignJob job) {
   require(!job.name.empty(), "Dispatcher::submit: campaign name is empty");
-  require(job.name.find('/') == std::string::npos &&
-              job.name.find('\\') == std::string::npos,
-          "Dispatcher::submit: campaign name must not contain path "
-          "separators: " + job.name);
-  require(!job.manifests.empty(),
-          "Dispatcher::submit: campaign has no shards: " + job.name);
-  require(!job.csv_path.empty(),
-          "Dispatcher::submit: campaign has no csv_path: " + job.name);
+  if (!(job.name.find('/') == std::string::npos &&
+            job.name.find('\\') == std::string::npos)) {
+    throw Error("Dispatcher::submit: campaign name must not contain path "
+                "separators: " + job.name);
+  }
+  if (job.manifests.empty()) {
+    throw Error("Dispatcher::submit: campaign has no shards: " + job.name);
+  }
+  if (job.csv_path.empty()) {
+    throw Error("Dispatcher::submit: campaign has no csv_path: " + job.name);
+  }
 
   std::lock_guard<std::mutex> lock(mutex_);
-  require(find_campaign_locked(job.name) == nullptr,
-          "Dispatcher::submit: duplicate campaign name: " + job.name);
+  if (find_campaign_locked(job.name) != nullptr) {
+    throw Error("Dispatcher::submit: duplicate campaign name: " + job.name);
+  }
 
   auto campaign = std::make_unique<Campaign>();
   campaign->name = job.name;
@@ -367,9 +375,10 @@ void Dispatcher::submit(CampaignJob job) {
   std::filesystem::create_directories(campaign->dir);
   campaign->shards.reserve(job.manifests.size());
   for (std::size_t i = 0; i < job.manifests.size(); ++i) {
-    require(job.manifests[i].shard_index == i,
-            "Dispatcher::submit: manifests must arrive in shard-index "
-            "order (campaign " + job.name + ")");
+    if (job.manifests[i].shard_index != i) {
+      throw Error("Dispatcher::submit: manifests must arrive in shard-index "
+                  "order (campaign " + job.name + ")");
+    }
     Shard shard;
     shard.index = static_cast<std::uint32_t>(i);
     shard.manifest = std::move(job.manifests[i]);
@@ -817,8 +826,7 @@ std::vector<CampaignStatusView> Dispatcher::status() const {
 CampaignStatusView Dispatcher::campaign_status(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const Campaign* campaign = find_campaign_locked(name);
-  require(campaign != nullptr,
-          "Dispatcher: unknown campaign: " + name);
+  if (campaign == nullptr) throw Error("Dispatcher: unknown campaign: " + name);
   return status_locked(*campaign);
 }
 
@@ -832,7 +840,9 @@ dist::PrefixMergeResult Dispatcher::progress(const std::string& name) const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const Campaign* campaign = find_campaign_locked(name);
-    require(campaign != nullptr, "Dispatcher: unknown campaign: " + name);
+    if (campaign == nullptr) {
+      throw Error("Dispatcher: unknown campaign: " + name);
+    }
     for (const Shard& shard : campaign->shards) {
       for (const std::string& path : shard.attempt_paths) {
         inputs.push_back(

@@ -47,7 +47,9 @@ std::string decode_field(const std::string& s, const std::string& where) {
       out += s[i];
       continue;
     }
-    require(i + 2 < s.size(), "journal: truncated %-escape in " + where);
+    if (i + 2 >= s.size()) {
+      throw Error("journal: truncated %-escape in " + where);
+    }
     const auto hex = [&](char c) -> int {
       if (c >= '0' && c <= '9') return c - '0';
       if (c >= 'A' && c <= 'F') return c - 'A' + 10;
@@ -62,13 +64,17 @@ std::string decode_field(const std::string& s, const std::string& where) {
 
 std::uint64_t parse_u64(std::istringstream& in, const std::string& what) {
   std::uint64_t v = 0;
-  require(static_cast<bool>(in >> v), "journal: bad " + what + " field");
+  if (!(in >> v)) {
+    throw Error("journal: bad " + what + " field");
+  }
   return v;
 }
 
 std::string parse_token(std::istringstream& in, const std::string& what) {
   std::string t;
-  require(static_cast<bool>(in >> t), "journal: missing " + what + " field");
+  if (!(in >> t)) {
+    throw Error("journal: missing " + what + " field");
+  }
   return t;
 }
 
@@ -201,7 +207,7 @@ JournalEvent parse_event_body(const std::string& body) {
 
 JournalReadResult read_journal(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  require(in.is_open(), "journal: cannot open: " + path);
+  if (!in.is_open()) throw Error("journal: cannot open: " + path);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
 
@@ -273,20 +279,26 @@ JournalWriter::JournalWriter(const std::string& path, std::uint64_t next_seq,
                              std::uint64_t resume_at_bytes)
     : path_(path), next_seq_(next_seq) {
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
-  require(fd_ >= 0, "journal: cannot open for writing: " + path);
+  if (fd_ < 0) throw Error("journal: cannot open for writing: " + path);
   if (resume_at_bytes == 0) {
-    require(::ftruncate(fd_, 0) == 0, "journal: cannot initialize: " + path);
-    require(::write(fd_, kHeader, kHeaderLen) ==
-                static_cast<ssize_t>(kHeaderLen),
-            "journal: cannot write header: " + path);
+    if (::ftruncate(fd_, 0) != 0) {
+      throw Error("journal: cannot initialize: " + path);
+    }
+    if (::write(fd_, kHeader, kHeaderLen) !=
+            static_cast<ssize_t>(kHeaderLen)) {
+      throw Error("journal: cannot write header: " + path);
+    }
     next_seq_ = 1;
     dirty_ = true;
   } else {
     // Drop any torn tail read_journal diagnosed, so the next append starts
     // on a clean line boundary instead of concatenating with crash debris.
-    require(::ftruncate(fd_, static_cast<off_t>(resume_at_bytes)) == 0,
-            "journal: cannot truncate torn tail: " + path);
-    require(::lseek(fd_, 0, SEEK_END) >= 0, "journal: seek failed: " + path);
+    if (::ftruncate(fd_, static_cast<off_t>(resume_at_bytes)) != 0) {
+      throw Error("journal: cannot truncate torn tail: " + path);
+    }
+    if (::lseek(fd_, 0, SEEK_END) < 0) {
+      throw Error("journal: seek failed: " + path);
+    }
   }
 }
 
@@ -304,16 +316,17 @@ std::uint64_t JournalWriter::append(JournalEvent event) {
   std::snprintf(crc, sizeof crc, " #%016llx\n",
                 static_cast<unsigned long long>(util::fnv1a64(body)));
   const std::string line = body + crc;
-  require(::write(fd_, line.data(), line.size()) ==
-              static_cast<ssize_t>(line.size()),
-          "journal: append failed: " + path_);
+  if (::write(fd_, line.data(), line.size()) !=
+          static_cast<ssize_t>(line.size())) {
+    throw Error("journal: append failed: " + path_);
+  }
   dirty_ = true;
   return event.seq;
 }
 
 void JournalWriter::sync() {
   if (!dirty_) return;
-  require(::fsync(fd_) == 0, "journal: fsync failed: " + path_);
+  if (::fsync(fd_) != 0) throw Error("journal: fsync failed: " + path_);
   dirty_ = false;
 }
 

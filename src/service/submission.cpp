@@ -30,7 +30,9 @@ void save_submission(const CampaignRequest& request,
                            std::to_string(counter.fetch_add(1));
   {
     std::ofstream out(temp);
-    require(out.is_open(), "submission: cannot open for writing: " + temp);
+    if (!out.is_open()) {
+      throw Error("submission: cannot open for writing: " + temp);
+    }
     out << "qufi-submission 1\n";
     out << "name " << request.name << "\n";
     out << "priority " << request.priority << "\n";
@@ -51,7 +53,7 @@ void save_submission(const CampaignRequest& request,
     out << "backend_kind " << request.backend_kind << "\n";
     out << "csv " << request.csv_path << "\n";
     out.flush();
-    require(out.good(), "submission: write failed: " + temp);
+    if (!out.good()) throw Error("submission: write failed: " + temp);
   }
   if (std::rename(temp.c_str(), path.c_str()) != 0) {
     std::remove(temp.c_str());
@@ -61,7 +63,7 @@ void save_submission(const CampaignRequest& request,
 
 CampaignRequest load_submission(const std::string& path) {
   std::ifstream in(path);
-  require(in.is_open(), "submission: cannot open: " + path);
+  if (!in.is_open()) throw Error("submission: cannot open: " + path);
   CampaignRequest request;
   std::string line;
   std::size_t line_no = 0;
@@ -132,15 +134,21 @@ CampaignRequest load_submission(const std::string& path) {
       fail("unknown key: " + key);
     }
   }
-  require(versioned, "submission " + path + ": empty file");
-  require(!request.name.empty(), "submission " + path + ": missing name");
-  require(!request.csv_path.empty(), "submission " + path + ": missing csv");
+  if (!versioned) throw Error("submission " + path + ": empty file");
+  if (request.name.empty()) {
+    throw Error("submission " + path + ": missing name");
+  }
+  if (request.csv_path.empty()) {
+    throw Error("submission " + path + ": missing csv");
+  }
   return request;
 }
 
 CampaignJob plan_submission(const CampaignRequest& request) {
-  require(request.shards >= 1,
-          "submission: shards must be >= 1 (campaign " + request.name + ")");
+  if (request.shards < 1) {
+    throw Error(
+        "submission: shards must be >= 1 (campaign " + request.name + ")");
+  }
 
   algo::AlgorithmCircuit bench = [&] {
     if (request.circuit == "ghz") return algo::ghz(request.width);
@@ -184,9 +192,10 @@ CampaignJob plan_submission(const CampaignRequest& request) {
   } else {
     throw Error("submission: unknown backend kind: " + request.backend_kind);
   }
-  require(!(request.idle_noise && kind == dist::WorkerBackendKind::Trajectory),
-          "submission: idle_noise requires the density backend (campaign " +
-              request.name + ")");
+  if (request.idle_noise && kind == dist::WorkerBackendKind::Trajectory) {
+    throw Error("submission: idle_noise requires the density backend "
+                "(campaign " + request.name + ")");
+  }
 
   const auto plan = dist::plan_campaign_shards(spec, request.shards, policy);
   CampaignJob job;

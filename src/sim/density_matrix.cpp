@@ -51,9 +51,10 @@ void DensityMatrix::apply_unitary2(const util::Mat4& u, int q0, int q1) {
 }
 
 void DensityMatrix::apply_instruction(const circ::Instruction& instr) {
-  require(instr.is_unitary(),
-          std::string("DensityMatrix: cannot apply non-unitary op ") +
-              instr.name());
+  if (!instr.is_unitary()) {
+    throw Error(std::string("DensityMatrix: cannot apply non-unitary op ") +
+                    instr.name());
+  }
   const auto& info = circ::gate_info(instr.kind);
   switch (info.num_qubits) {
     case 1:

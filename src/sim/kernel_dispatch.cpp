@@ -53,9 +53,11 @@ u64 env_u64(const char* name, u64 fallback, u64 min_value) {
   if (s == nullptr || *s == '\0') return fallback;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  require(end != nullptr && *end == '\0',
-          std::string(name) + ": expected an unsigned integer, got '" + s +
-              "'");
+  if (!(end != nullptr && *end == '\0')) {
+    throw Error(
+        std::string(name) + ": expected an unsigned integer, got '" + s +
+            "'");
+  }
   return std::max<u64>(v, min_value);
 }
 
@@ -80,9 +82,11 @@ struct DispatchState {
       for (const KernelSet* ks : available) {
         if (env == std::string_view(ks->name)) chosen = ks;
       }
-      require(chosen != nullptr,
-              std::string("QUFI_KERNELS: unknown or unavailable kernel set '") +
-                  env + "' (try scalar, simd, or avx2)");
+      if (chosen == nullptr) {
+        throw Error(
+            std::string("QUFI_KERNELS: unknown or unavailable kernel set '") +
+                env + "' (try scalar, simd, or avx2)");
+      }
     }
     active.store(chosen, std::memory_order_release);
 
@@ -162,9 +166,11 @@ const KernelSet& active_kernel_set() {
 
 const KernelSet& select_kernel_set(std::string_view name) {
   const KernelSet* ks = find_kernel_set(name);
-  require(ks != nullptr,
-          std::string("select_kernel_set: unknown or unavailable kernel set '") +
-              std::string(name) + "'");
+  if (ks == nullptr) {
+    throw Error(
+        std::string("select_kernel_set: unknown or unavailable kernel set '") +
+            std::string(name) + "'");
+  }
   state().active.store(ks, std::memory_order_release);
   return *ks;
 }

@@ -38,9 +38,10 @@ void Statevector::apply_matrix2(const util::Mat4& m, int q0, int q1) {
 }
 
 void Statevector::apply_instruction(const circ::Instruction& instr) {
-  require(instr.is_unitary(),
-          std::string("Statevector: cannot apply non-unitary op ") +
-              instr.name());
+  if (!instr.is_unitary()) {
+    throw Error(std::string("Statevector: cannot apply non-unitary op ") +
+                    instr.name());
+  }
   const auto& info = circ::gate_info(instr.kind);
   switch (info.num_qubits) {
     case 1:

@@ -46,8 +46,10 @@ std::string ascii_heatmap(const std::vector<std::vector<double>>& rows,
   os << '\n';
 
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    require(rows[r].size() == col_labels.size(),
-            "ascii_heatmap: column count mismatch in row " + std::to_string(r));
+    if (rows[r].size() != col_labels.size()) {
+      throw Error(
+          "ascii_heatmap: column count mismatch in row " + std::to_string(r));
+    }
     os << std::setw(static_cast<int>(label_width)) << row_labels[r] << ' ';
     for (double v : rows[r]) {
       std::ostringstream cell;

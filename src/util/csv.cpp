@@ -23,7 +23,7 @@ std::string quote(const std::string& field) {
 }  // namespace
 
 CsvWriter::CsvWriter(const std::string& path) : out_(path), path_(path) {
-  require(out_.good(), "CsvWriter: cannot open " + path);
+  if (!out_.good()) throw Error("CsvWriter: cannot open " + path);
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
@@ -33,7 +33,7 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
   }
   out_ << '\n';
   out_.flush();
-  require(out_.good(), "CsvWriter: write failed for " + path_);
+  if (!out_.good()) throw Error("CsvWriter: write failed for " + path_);
 }
 
 void CsvWriter::write_row(std::initializer_list<std::string> fields) {

@@ -16,7 +16,13 @@ class Error : public std::runtime_error {
 };
 
 /// Throws qufi::Error with `message` when `condition` is false.
-inline void require(bool condition, const std::string& message) {
+///
+/// `require` runs on hot paths (per-element accessors, per-gate kernels,
+/// per-config noise lookups), so it takes only a string literal: a passing
+/// check must cost one branch and never build a std::string. A message that
+/// needs run-time data is written as an explicit
+/// `if (!cond) throw Error(...)`, so the string is built only on failure.
+inline void require(bool condition, const char* message) {
   if (!condition) throw Error(message);
 }
 
