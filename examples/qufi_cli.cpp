@@ -37,7 +37,6 @@ struct CliOptions {
   std::uint64_t seed = 0x51754649;
   std::size_t points = 0;
   bool double_faults = false;
-  bool use_tree = true;
   bool idle_noise = false;
   bool adaptive = false;
   AdaptivePolicy adaptive_policy;
@@ -59,7 +58,6 @@ struct CliOptions {
       "  --seed N          campaign seed\n"
       "  --points N        cap injection points (0 = all)\n"
       "  --double          run the double-fault campaign\n"
-      "  --no-tree         disable the prefix-tree engine (flat batch baseline)\n"
       "  --idle-noise      moment-scheduled idle-qubit relaxation\n"
       "  --adaptive        adaptive QVF estimation (single-fault only):\n"
       "                    sweep a coarse deterministic lattice per point,\n"
@@ -94,7 +92,6 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--seed") options.seed = std::stoull(value());
     else if (arg == "--points") options.points = std::stoull(value());
     else if (arg == "--double") options.double_faults = true;
-    else if (arg == "--no-tree") options.use_tree = false;
     else if (arg == "--idle-noise") options.idle_noise = true;
     else if (arg == "--adaptive") options.adaptive = true;
     else if (arg == "--adaptive-budget") {
@@ -149,7 +146,6 @@ int main(int argc, char** argv) {
     spec.shots = options.shots;
     spec.seed = options.seed;
     spec.max_points = options.points;
-    spec.use_tree = options.use_tree;
     spec.idle_noise = options.idle_noise;
     if (options.adaptive) {
       require(!options.double_faults,

@@ -145,35 +145,26 @@ const char* state_name(service::CampaignState state) {
   return "?";
 }
 
-/// Admits every complete submission in the spool: plan, submit, rename to
-/// `*.accepted` (`*.rejected` on a planning error, so a bad submission
-/// cannot wedge the intake loop). Returns the number admitted.
+/// Admits every complete submission in the spool (service::scan_spool:
+/// `*.accepted` once submitted, `*.rejected` on any failure, so a bad
+/// submission can neither wedge the intake loop nor end the daemon).
+/// Returns the number admitted.
 std::size_t scan_spool(const DaemonOptions& options,
                        service::Dispatcher& dispatcher) {
   std::size_t admitted = 0;
-  if (!std::filesystem::is_directory(options.spool)) return 0;
-  std::vector<std::string> pending;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options.spool)) {
-    if (entry.path().extension() == ".submission") {
-      pending.push_back(entry.path().string());
+  const auto outcomes = service::scan_spool(
+      options.spool,
+      [&](service::CampaignJob job) { dispatcher.submit(std::move(job)); });
+  for (const auto& outcome : outcomes) {
+    if (!outcome.accepted) {
+      std::fprintf(stderr, "qufid: rejected %s: %s\n", outcome.path.c_str(),
+                   outcome.error.c_str());
+      continue;
     }
-  }
-  std::sort(pending.begin(), pending.end());  // deterministic intake order
-  for (const std::string& path : pending) {
-    try {
-      const auto request = service::load_submission(path);
-      dispatcher.submit(service::plan_submission(request));
-      std::rename(path.c_str(), (path + ".accepted").c_str());
-      std::printf("{\"tool\":\"qufid\",\"event\":\"accepted\","
-                  "\"campaign\":\"%s\",\"priority\":%d}\n",
-                  request.name.c_str(), request.priority);
-      ++admitted;
-    } catch (const Error& e) {
-      std::rename(path.c_str(), (path + ".rejected").c_str());
-      std::fprintf(stderr, "qufid: rejected %s: %s\n", path.c_str(),
-                   e.what());
-    }
+    std::printf("{\"tool\":\"qufid\",\"event\":\"accepted\","
+                "\"campaign\":\"%s\",\"priority\":%d}\n",
+                outcome.request.name.c_str(), outcome.request.priority);
+    ++admitted;
   }
   if (admitted > 0) std::fflush(stdout);
   return admitted;

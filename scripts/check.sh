@@ -4,10 +4,10 @@
 # README lists must be present in the build tree.
 #
 # Opt-in legs:
-#   CHECK_SANITIZE=1  rebuild the kernel-facing suites plus the adaptive
-#                     estimation suite under ASan+UBSan in build-asan/ and
-#                     run them (the leg .github/workflows/ci.yml runs on
-#                     every push).
+#   CHECK_SANITIZE=1  rebuild the kernel-facing suites, the adaptive
+#                     estimation, dispatcher and campaign-executor suites
+#                     under ASan+UBSan in build-asan/ and run them (the leg
+#                     .github/workflows/ci.yml runs on every push).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -383,21 +383,24 @@ fi
 
 # ---- opt-in sanitizer pass ---------------------------------------------------
 # CHECK_SANITIZE=1 rebuilds the kernel-facing tests, the adaptive
-# estimation suite, and the dispatcher/journal suite under ASan+UBSan in a
-# separate build tree and runs them, so the vectorized pointer arithmetic,
-# the estimator's cell bookkeeping, and the journal's recovery/truncation
-# paths are exercised with checking on before merge.
+# estimation suite, the dispatcher/journal suite, and the campaign
+# executor's suites under ASan+UBSan in a separate build tree and runs
+# them, so the vectorized pointer arithmetic, the estimator's cell
+# bookkeeping, the journal's recovery/truncation paths, and the executor's
+# shared snapshots and per-point emission atomics are exercised with
+# checking on before merge.
 if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
   configure -B build-asan -S . -DQUFI_SANITIZE=ON -DQUFI_BUILD_BENCHES=OFF \
     -DQUFI_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j --target test_kernels test_sim test_adaptive \
-    test_dispatcher
-  for t in test_kernels test_sim test_adaptive test_dispatcher; do
+    test_dispatcher test_tree test_checkpoint test_campaign
+  for t in test_kernels test_sim test_adaptive test_dispatcher test_tree \
+    test_checkpoint test_campaign; do
     ./build-asan/$t > /dev/null
   done
   # The vectorized sets must survive sanitized runs too, not just the default.
   for kset in $(./build/perf_simulator --list-kernels); do
     QUFI_KERNELS="$kset" ./build-asan/test_kernels > /dev/null
   done
-  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher under ASan+UBSan)"
+  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_campaign under ASan+UBSan)"
 fi

@@ -1322,54 +1322,52 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
   };
   std::vector<ResponseGroup> groups;
   std::vector<std::ptrdiff_t> group_of(configs.size(), -1);
-  if (suffix_response_enabled_) {
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      if (needs_splice[c] || configs[c].injected.empty()) continue;
-      TargetSet targets;
-      bool eligible = true;
-      for (const auto& instr : configs[c].injected) {
-        if (circ::gate_info(instr.kind).num_qubits != 1) {
-          eligible = false;
-          break;
-        }
-        const int q = to_compact[static_cast<std::size_t>(instr.qubits[0])];
-        if (targets.contains(q)) continue;
-        if (targets.size == targets.qubits.size()) {
-          eligible = false;  // a third distinct target qubit
-          break;
-        }
-        targets.qubits[targets.size++] = q;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    if (needs_splice[c] || configs[c].injected.empty()) continue;
+    TargetSet targets;
+    bool eligible = true;
+    for (const auto& instr : configs[c].injected) {
+      if (circ::gate_info(instr.kind).num_qubits != 1) {
+        eligible = false;
+        break;
       }
-      if (!eligible) continue;
-      if (targets.size == 2 && targets.qubits[1] < targets.qubits[0]) {
-        std::swap(targets.qubits[0], targets.qubits[1]);
+      const int q = to_compact[static_cast<std::size_t>(instr.qubits[0])];
+      if (targets.contains(q)) continue;
+      if (targets.size == targets.qubits.size()) {
+        eligible = false;  // a third distinct target qubit
+        break;
       }
-      auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
-        return g.targets == targets && g.shape == shape_of[c];
-      });
-      if (it == groups.end()) {
-        groups.push_back(ResponseGroup{targets, shape_of[c], 0, c});
-        it = groups.end() - 1;
-      }
-      ++it->num_configs;
-      group_of[c] = it - groups.begin();
+      targets.qubits[targets.size++] = q;
     }
-    for (ResponseGroup& group : groups) {
-      const std::size_t threshold = group.targets.size == 1
-                                        ? kResponseMinConfigs1q
-                                        : kResponseMinConfigs2q;
-      // Below break-even, or a moment-aware shape whose pre-injection ops
-      // touch a target (the slot channel would not factor out): replay
-      // path. Both predicates are pure functions of the batch contents, so
-      // the choice is identical across chunkings and shardings.
-      group.enabled =
-          group.num_configs >= threshold &&
-          (!idle || idle_response_eligible(*compiled_of[group.first_config],
-                                           group.targets.view()));
+    if (!eligible) continue;
+    if (targets.size == 2 && targets.qubits[1] < targets.qubits[0]) {
+      std::swap(targets.qubits[0], targets.qubits[1]);
     }
-    for (std::ptrdiff_t& g : group_of) {
-      if (g >= 0 && !groups[static_cast<std::size_t>(g)].enabled) g = -1;
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
+      return g.targets == targets && g.shape == shape_of[c];
+    });
+    if (it == groups.end()) {
+      groups.push_back(ResponseGroup{targets, shape_of[c], 0, c});
+      it = groups.end() - 1;
     }
+    ++it->num_configs;
+    group_of[c] = it - groups.begin();
+  }
+  for (ResponseGroup& group : groups) {
+    const std::size_t threshold = group.targets.size == 1
+                                      ? kResponseMinConfigs1q
+                                      : kResponseMinConfigs2q;
+    // Below break-even, or a moment-aware shape whose pre-injection ops
+    // touch a target (the slot channel would not factor out): replay
+    // path. Both predicates are pure functions of the batch contents, so
+    // the choice is identical across chunkings and shardings.
+    group.enabled =
+        group.num_configs >= threshold &&
+        (!idle || idle_response_eligible(*compiled_of[group.first_config],
+                                         group.targets.view()));
+  }
+  for (std::ptrdiff_t& g : group_of) {
+    if (g >= 0 && !groups[static_cast<std::size_t>(g)].enabled) g = -1;
   }
 
   const DensityRunOptions options{};

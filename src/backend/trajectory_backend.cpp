@@ -292,9 +292,10 @@ PrefixSnapshotPtr TrajectoryBackend::load_snapshot(std::istream& in) const {
   const std::uint64_t prefix_length = r.u64();
   require(prefix_length <= circuit.size(),
           "load_snapshot: prefix length exceeds circuit size");
-  // Statevector supports at most 24 qubits; checking before the shift also
+  // Statevector supports at most kMaxQubits; checking before the shift also
   // keeps the arithmetic below overflow-free for any checksum-valid file.
-  require(circuit.num_qubits() >= 1 && circuit.num_qubits() <= 24,
+  require(circuit.num_qubits() >= 1 &&
+              circuit.num_qubits() <= sim::Statevector::kMaxQubits,
           "load_snapshot: trajectory qubit count out of range");
   const std::uint64_t num_shots = r.u64();
   const std::uint64_t dim = std::uint64_t{1} << circuit.num_qubits();

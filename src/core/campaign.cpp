@@ -23,9 +23,12 @@ struct Prepared {
   GoldenOutput golden;
   std::unique_ptr<backend::Backend> owned_backend;
   backend::Backend* exec = nullptr;
+  /// Injection points over the transpiled circuit (after max_points
+  /// striding), in instruction order.
+  std::vector<InjectionPoint> points;
 };
 
-Prepared prepare(const CampaignSpec& spec) {
+Prepared prepare(const CampaignSpec& spec, const char* no_points_message) {
   require(spec.circuit.num_clbits() > 0,
           "campaign: circuit needs measurements");
   spec.grid.validate();
@@ -35,7 +38,8 @@ Prepared prepare(const CampaignSpec& spec) {
                 transpile::CouplingMap::from_backend(spec.backend),
                 {},
                 nullptr,
-                nullptr};
+                nullptr,
+                {}};
 
   if (spec.expected_outputs.empty()) {
     prep.golden = compute_golden(spec.circuit);
@@ -47,15 +51,15 @@ Prepared prepare(const CampaignSpec& spec) {
   if (spec.backend_override) {
     prep.exec = spec.backend_override;
   } else {
-    auto density = std::make_unique<backend::DensityMatrixBackend>(
+    prep.owned_backend = std::make_unique<backend::DensityMatrixBackend>(
         noise::NoiseModel::from_backend(spec.backend, spec.noise_scale),
         spec.idle_noise);
-    // The suffix-response fast path is part of the tree engine, so the
-    // --no-tree baseline measures the PR 2 flat-batch engine faithfully.
-    density->set_suffix_response_enabled(spec.use_tree);
-    prep.owned_backend = std::move(density);
     prep.exec = prep.owned_backend.get();
   }
+  prep.points =
+      stride_points(enumerate_injection_points(prep.transpiled, spec.strategy),
+                    spec.max_points);
+  require(!prep.points.empty(), no_points_message);
   return prep;
 }
 
@@ -66,9 +70,9 @@ Prepared prepare(const CampaignSpec& spec) {
 /// work. Nodes none of whose members have work are skipped entirely — the
 /// next extension jumps across them — so e.g. double-fault points with no
 /// coupled active neighbor never materialize a snapshot. At most two
-/// snapshots are alive per chain, bounding memory like the flat engine
-/// (few-point campaigns that store the handful of snapshots for chunked
-/// sweeping are bounded by the pool size instead).
+/// snapshots are alive per chain (few-point campaigns that store the
+/// handful of snapshots for chunked sweeping are bounded by the pool size
+/// instead).
 template <typename HasWork, typename Visit>
 void run_tree_chains(util::ThreadPool& pool, backend::Backend& exec,
                      const circ::QuantumCircuit& circuit,
@@ -117,14 +121,108 @@ std::vector<std::pair<std::size_t, std::size_t>> chunk_slice(
   return out;
 }
 
-// Tree-engine chunk floors: single-fault grids inject one qubit (1q
-// response basis), double-fault grids a (primary, neighbor) pair (2q).
-constexpr std::size_t kTreeChunk1q = 64;
-constexpr std::size_t kTreeChunk2q = 512;
-static_assert(kTreeChunk1q >=
-              backend::DensityMatrixBackend::kResponseMinConfigs1q);
-static_assert(kTreeChunk2q >=
-              backend::DensityMatrixBackend::kResponseMinConfigs2q);
+// Chunk floors: single-fault grids inject one qubit (1q response basis),
+// double-fault grids a (primary, neighbor) pair (2q).
+constexpr std::size_t kChunk1q = 64;
+constexpr std::size_t kChunk2q = 512;
+static_assert(kChunk1q >= backend::DensityMatrixBackend::kResponseMinConfigs1q);
+static_assert(kChunk2q >= backend::DensityMatrixBackend::kResponseMinConfigs2q);
+
+/// The campaign executor — the one path every campaign kind runs through.
+/// Subset position s owns the config slice [slice_begin[s],
+/// slice_begin[s + 1]); `sweep(s, begin, end, snapshot)` executes one chunk
+/// of it from the point's prefix snapshot. Snapshots come from the subset's
+/// prefix-tree chains (run_tree_chains); points with an empty slice never
+/// materialize one. With at least as many points as pool lanes, chains
+/// stream and each point's chunks run inline on its chain's lane; with
+/// fewer, the few snapshots are kept and the chunks fan out across the
+/// pool so no lane idles. Chunks are chunk_slice(slice, chunk), so batch
+/// composition — and every record — is the same either way. Backends
+/// without checkpointing run through the base Backend splice snapshots,
+/// whose run_suffix re-simulates the spliced circuit with the config's
+/// seed (the full re-simulation oracle).
+template <typename Sweep>
+void execute(const CampaignSpec& spec, const Prepared& prep,
+             std::span<const std::size_t> subset,
+             std::span<const std::size_t> slice_begin, std::size_t chunk,
+             const Sweep& sweep) {
+  util::ThreadPool pool(static_cast<std::size_t>(
+      spec.threads > 0 ? spec.threads : 0));
+  std::vector<std::size_t> splits(subset.size());
+  for (std::size_t s = 0; s < subset.size(); ++s) {
+    splits[s] = prep.points[subset[s]].split_index();
+  }
+  const SnapshotTreePlan tree = plan_snapshot_tree(splits, pool.size());
+  const auto has_work = [&](std::size_t s) {
+    return slice_begin[s] < slice_begin[s + 1];
+  };
+  const auto chunks_of = [&](std::size_t s) {
+    return chunk_slice(slice_begin[s], slice_begin[s + 1], chunk);
+  };
+  if (subset.size() >= pool.size()) {
+    // Enough points to saturate the pool: at most two live snapshots per
+    // lane.
+    run_tree_chains(pool, *prep.exec, prep.transpiled.circuit, spec, tree,
+                    has_work,
+                    [&](std::size_t s, const backend::PrefixSnapshotPtr& snap) {
+                      for (const auto& [begin, end] : chunks_of(s)) {
+                        sweep(s, begin, end, *snap);
+                      }
+                    });
+    return;
+  }
+  std::vector<backend::PrefixSnapshotPtr> snapshots(subset.size());
+  run_tree_chains(pool, *prep.exec, prep.transpiled.circuit, spec, tree,
+                  has_work,
+                  [&](std::size_t s, const backend::PrefixSnapshotPtr& snap) {
+                    snapshots[s] = snap;
+                  });
+  struct ChunkItem {
+    std::size_t subset_pos, begin, end;
+  };
+  std::vector<ChunkItem> items;
+  for (std::size_t s = 0; s < subset.size(); ++s) {
+    for (const auto& [begin, end] : chunks_of(s)) {
+      items.push_back({s, begin, end});
+    }
+  }
+  pool.parallel_for(items.size(), [&](std::size_t i) {
+    const ChunkItem& item = items[i];
+    sweep(item.subset_pos, item.begin, item.end,
+          *snapshots[item.subset_pos]);
+  });
+}
+
+/// Runs `configs` from `snapshot` as one run_suffix_batch submission.
+std::vector<backend::ExecutionResult> run_batch(
+    const CampaignSpec& spec, const Prepared& prep,
+    const backend::PrefixSnapshot& snapshot,
+    std::span<const backend::SuffixConfig> configs) {
+  auto runs = prep.exec->run_suffix_batch(snapshot, configs, spec.shots);
+  require(runs.size() == configs.size(),
+          "campaign: run_suffix_batch returned wrong result count");
+  return runs;
+}
+
+/// The sweep of an exhaustive config source: configs [begin, end) of subset
+/// position s, built by make_config(s, idx), go out as one batch and
+/// fill(s, idx, probabilities) scores each result.
+template <typename MakeConfig, typename Fill>
+auto batch_sweep(const CampaignSpec& spec, const Prepared& prep,
+                 const MakeConfig& make_config, const Fill& fill) {
+  return [&](std::size_t s, std::size_t begin, std::size_t end,
+             const backend::PrefixSnapshot& snapshot) {
+    std::vector<backend::SuffixConfig> configs;
+    configs.reserve(end - begin);
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      configs.push_back(make_config(s, idx));
+    }
+    const auto runs = run_batch(spec, prep, snapshot, configs);
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      fill(s, begin + k, runs[k].probabilities);
+    }
+  };
+}
 
 std::uint64_t config_seed(const CampaignSpec& spec, std::uint64_t a,
                           std::uint64_t b, std::uint64_t c, std::uint64_t d) {
@@ -138,7 +236,8 @@ double faultfree_qvf(const Prepared& prep, const CampaignSpec& spec) {
   return compute_qvf(result.probabilities, prep.golden);
 }
 
-CampaignMetadata base_metadata(const CampaignSpec& spec, const Prepared& prep) {
+CampaignMetadata base_metadata(const CampaignSpec& spec, const Prepared& prep,
+                               std::uint64_t executions) {
   CampaignMetadata meta;
   meta.circuit_name = spec.circuit.name();
   meta.backend_name = prep.exec->name();
@@ -149,6 +248,8 @@ CampaignMetadata base_metadata(const CampaignSpec& spec, const Prepared& prep) {
   meta.seed = spec.seed;
   meta.idle_noise = spec.idle_noise;
   meta.faultfree_qvf = faultfree_qvf(prep, spec);
+  meta.executions = executions;
+  meta.injections = campaign_injections(executions, spec.shots);
   return meta;
 }
 
@@ -181,47 +282,58 @@ std::vector<std::size_t> identity_subset(std::size_t n) {
   return all;
 }
 
-/// Streaming-emission state for CampaignSpec::record_sink: one lazily
-/// allocated record buffer per subset point plus an atomic countdown of its
-/// unfinished configs. The lane that scores a point's last config emits the
-/// whole buffer to the sink and frees it, so engine memory is bounded by the
-/// records of in-flight points instead of the whole campaign. The release
+/// Record storage of an exhaustive campaign: config idx of subset position
+/// s lands in result.records[idx] or, under CampaignSpec::record_sink, in
+/// slot idx - slice_begin[s] of a lazily allocated per-point buffer with an
+/// atomic countdown of its unfinished configs. The lane that scores a
+/// point's last config emits the whole buffer to the sink and frees it, so
+/// engine memory is bounded by the records of in-flight points instead of
+/// the whole campaign; zero-length slices never emit. The release
 /// decrements / acquire final-decrement pair makes every lane's buffer
 /// writes visible to the emitting lane.
-class PointEmitter {
+class RecordSlots {
  public:
-  PointEmitter(ResultBlockSink& sink, std::size_t num_slices)
-      : sink_(sink),
-        buffers_(num_slices),
-        sizes_(num_slices, 0),
-        once_(std::make_unique<std::once_flag[]>(num_slices)),
-        remaining_(std::make_unique<std::atomic<std::size_t>[]>(num_slices)) {}
-
-  void set_slice_size(std::size_t s, std::size_t num_records) {
-    remaining_[s].store(num_records, std::memory_order_relaxed);
-    sizes_[s] = num_records;
+  RecordSlots(ResultBlockSink* sink, std::vector<InjectionRecord>& records,
+              std::span<const std::size_t> slice_begin)
+      : sink_(sink), records_(records), slice_begin_(slice_begin) {
+    if (!sink_) {
+      records_.resize(slice_begin_.back());
+      return;
+    }
+    const std::size_t n = slice_begin_.size() - 1;
+    buffers_.resize(n);
+    once_ = std::make_unique<std::once_flag[]>(n);
+    remaining_ = std::make_unique<std::atomic<std::size_t>[]>(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      remaining_[s].store(slice_begin_[s + 1] - slice_begin_[s],
+                          std::memory_order_relaxed);
+    }
   }
 
-  /// Slot for record `local` (enumeration order within the point) of slice
-  /// `s`. Safe to call concurrently for different locals of one slice.
-  InjectionRecord& slot(std::size_t s, std::size_t local) {
-    std::call_once(once_[s], [&] { buffers_[s].resize(sizes_[s]); });
-    return buffers_[s][local];
+  /// Safe to call concurrently for different configs.
+  InjectionRecord& slot(std::size_t s, std::size_t idx) {
+    if (!sink_) return records_[idx];
+    std::call_once(once_[s], [&] {
+      buffers_[s].resize(slice_begin_[s + 1] - slice_begin_[s]);
+    });
+    return buffers_[s][idx - slice_begin_[s]];
   }
 
-  /// Marks one record of slice `s` complete; emits and frees the buffer
-  /// when it was the last.
-  void complete_one(std::size_t s) {
+  /// Marks one record of position s complete; emits and frees the point's
+  /// buffer when it was the last.
+  void complete(std::size_t s) {
+    if (!sink_) return;
     if (remaining_[s].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      sink_.emit(buffers_[s]);
+      sink_->emit(buffers_[s]);
       buffers_[s] = {};
     }
   }
 
  private:
-  ResultBlockSink& sink_;
+  ResultBlockSink* sink_;
+  std::vector<InjectionRecord>& records_;
+  std::span<const std::size_t> slice_begin_;
   std::vector<std::vector<InjectionRecord>> buffers_;
-  std::vector<std::size_t> sizes_;
   std::unique_ptr<std::once_flag[]> once_;
   std::unique_ptr<std::atomic<std::size_t>[]> remaining_;
 };
@@ -270,306 +382,116 @@ std::vector<std::pair<InjectionPoint, int>> campaign_point_neighbor_pairs(
 
 namespace {
 
-/// Shared single-fault engine: executes the configs of the subset's points
-/// (subset entries are *global* indices into `result.points`). Seeds and
-/// record point_index fields use global indices, so disjoint subsets union
-/// to exactly the full-campaign record set; record slots are subset-local
-/// (slot = subset position x configs_per_point + rem), keeping shard output
-/// compact and in canonical ascending-point order.
-CampaignResult single_campaign_impl(const CampaignSpec& spec, Prepared& prep,
-                                    std::vector<InjectionPoint> points,
-                                    std::span<const std::size_t> subset) {
-  CampaignResult result;
-  result.points = std::move(points);
-  validate_subset(subset, result.points.size());
+constexpr const char* kNoPoints = "campaign: no injection points";
 
+/// Single-fault config `rem` (phi-major over the grid) at a global point:
+/// the one source of its fault gate and seed, addressed by the GLOBAL
+/// (point, phi, theta) triple so results are independent of scheduling, of
+/// batch composition and of sharding.
+backend::SuffixConfig single_config(const CampaignSpec& spec,
+                                    const InjectionPoint& point,
+                                    std::size_t global_point,
+                                    std::size_t rem) {
   const int num_theta = spec.grid.num_theta();
-  const int num_phi = spec.grid.num_phi();
+  const int phi_index = static_cast<int>(rem / num_theta);
+  const int theta_index = static_cast<int>(rem % num_theta);
+  const PhaseShiftFault fault{spec.grid.theta_at(theta_index),
+                              spec.grid.phi_at(phi_index)};
+  backend::SuffixConfig config;
+  config.injected = {fault.as_instruction(point.qubit)};
+  config.seed =
+      config_seed(spec, global_point, static_cast<std::uint64_t>(phi_index),
+                  static_cast<std::uint64_t>(theta_index), 0);
+  return config;
+}
+
+/// Fills and scores the record of single-fault config `rem` at a global
+/// point.
+void fill_single_record(InjectionRecord& rec, const CampaignSpec& spec,
+                        const Prepared& prep, std::size_t global_point,
+                        std::size_t rem, std::span<const double> probs) {
+  const int num_theta = spec.grid.num_theta();
+  rec.point_index = static_cast<std::uint32_t>(global_point);
+  rec.theta_index = static_cast<int>(rem % num_theta);
+  rec.phi_index = static_cast<int>(rem / num_theta);
+  score_record(rec, probs, prep.golden);
+}
+
+/// Single-fault source (§IV-B): subset position s owns its point's whole
+/// (theta, phi) grid as slots [s x configs_per_point, (s + 1) x
+/// configs_per_point). Subset entries are *global* indices into the point
+/// table; seeds and record point_index fields use them, so disjoint subsets
+/// union to exactly the full-campaign record set, while record slots stay
+/// subset-local (compact shard output in ascending-point order).
+CampaignResult single_campaign(const CampaignSpec& spec, Prepared& prep,
+                               std::span<const std::size_t> subset) {
   const std::size_t configs_per_point =
-      static_cast<std::size_t>(num_theta) * static_cast<std::size_t>(num_phi);
-  const std::size_t total = subset.size() * configs_per_point;
-  std::unique_ptr<PointEmitter> emitter;
-  if (spec.record_sink) {
-    // Streaming mode: records live in per-point buffers that are emitted
-    // and freed as each point's grid completes; result.records stays empty.
-    emitter = std::make_unique<PointEmitter>(*spec.record_sink, subset.size());
-    for (std::size_t s = 0; s < subset.size(); ++s) {
-      emitter->set_slice_size(s, configs_per_point);
-    }
-  } else {
-    result.records.resize(total);
+      static_cast<std::size_t>(spec.grid.num_theta()) *
+      static_cast<std::size_t>(spec.grid.num_phi());
+  std::vector<std::size_t> slice_begin(subset.size() + 1);
+  for (std::size_t s = 0; s <= subset.size(); ++s) {
+    slice_begin[s] = s * configs_per_point;
   }
-
-  // The single source of a config's fault gate and seed, addressed by the
-  // GLOBAL (point, phi, theta) triple so results are independent of
-  // scheduling, of batched vs per-config submission, and of sharding.
-  const auto make_config = [&](std::size_t global_point, std::size_t rem) {
-    const int phi_index = static_cast<int>(rem / num_theta);
-    const int theta_index = static_cast<int>(rem % num_theta);
-    const InjectionPoint& point = result.points[global_point];
-    const PhaseShiftFault fault{spec.grid.theta_at(theta_index),
-                                spec.grid.phi_at(phi_index)};
-    backend::SuffixConfig config;
-    config.injected = {fault.as_instruction(point.qubit)};
-    config.seed =
-        config_seed(spec, global_point, static_cast<std::uint64_t>(phi_index),
-                    static_cast<std::uint64_t>(theta_index), 0);
-    return config;
+  CampaignResult result;
+  RecordSlots slots(spec.record_sink, result.records, slice_begin);
+  const auto make_config = [&](std::size_t s, std::size_t idx) {
+    return single_config(spec, prep.points[subset[s]], subset[s],
+                         idx - slice_begin[s]);
   };
-
-  // Fills and scores the record slot for config `rem` at subset position
-  // `s`; shared by the per-config and batched paths so record addressing
-  // has a single source.
-  const auto fill_record = [&](std::size_t s, std::size_t rem,
-                               std::span<const double> probs) {
-    InjectionRecord& rec = emitter
-                               ? emitter->slot(s, rem)
-                               : result.records[s * configs_per_point + rem];
-    rec.point_index = static_cast<std::uint32_t>(subset[s]);
-    rec.theta_index = static_cast<int>(rem % num_theta);
-    rec.phi_index = static_cast<int>(rem / num_theta);
-    score_record(rec, probs, prep.golden);
-    if (emitter) emitter->complete_one(s);
+  const auto fill = [&](std::size_t s, std::size_t idx,
+                        std::span<const double> probs) {
+    fill_single_record(slots.slot(s, idx), spec, prep, subset[s],
+                       idx - slice_begin[s], probs);
+    slots.complete(s);
   };
+  execute(spec, prep, subset, slice_begin, kChunk1q,
+          batch_sweep(spec, prep, make_config, fill));
 
-  // One config = one faulty execution.
-  const auto run_config = [&](std::size_t s, std::size_t rem,
-                              const backend::PrefixSnapshot* snapshot) {
-    const backend::SuffixConfig config = make_config(subset[s], rem);
-    backend::ExecutionResult run;
-    if (snapshot) {
-      run = prep.exec->run_suffix(*snapshot, config.injected, spec.shots,
-                                  config.seed);
-    } else {
-      run = prep.exec->run(
-          backend::splice_circuit(prep.transpiled.circuit,
-                                  result.points[subset[s]].split_index(),
-                                  config.injected),
-          spec.shots, config.seed);
-    }
-    fill_record(s, rem, run.probabilities);
-  };
-
-  // Sweeps configs [begin, end) at one point from its snapshot: one
-  // run_suffix_batch submission when batching, per-config run_suffix jobs
-  // otherwise (the --no-batch baseline).
-  const auto sweep_range = [&](std::size_t s, std::size_t begin,
-                               std::size_t end,
-                               const backend::PrefixSnapshot* snapshot) {
-    if (!spec.use_batch) {
-      for (std::size_t rem = begin; rem < end; ++rem) {
-        run_config(s, rem, snapshot);
-      }
-      return;
-    }
-    std::vector<backend::SuffixConfig> configs;
-    configs.reserve(end - begin);
-    for (std::size_t rem = begin; rem < end; ++rem) {
-      configs.push_back(make_config(subset[s], rem));
-    }
-    const auto runs =
-        prep.exec->run_suffix_batch(*snapshot, configs, spec.shots);
-    require(runs.size() == configs.size(),
-            "campaign: run_suffix_batch returned wrong result count");
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      fill_record(s, begin + k, runs[k].probabilities);
-    }
-  };
-
-  util::ThreadPool pool(static_cast<std::size_t>(
-      spec.threads > 0 ? spec.threads : 0));
-  if (subset.empty()) {
-    // Empty shard: metadata + full point table, no work (idempotent).
-  } else if (spec.use_checkpoints && prep.exec->supports_checkpointing() &&
-             spec.use_tree) {
-    // Prefix-tree engine: one snapshot per unique split (operand points of
-    // a multi-qubit gate share one), derived along chains instead of
-    // re-evolved from scratch. Grids are swept in fixed-size chunks whose
-    // boundaries depend only on the grid (see chunk_slice), so records are
-    // identical whether chunks run inline on a chain's lane (many points)
-    // or fan out across the pool (few points).
-    std::vector<std::size_t> splits(subset.size());
-    for (std::size_t s = 0; s < subset.size(); ++s) {
-      splits[s] = result.points[subset[s]].split_index();
-    }
-    const SnapshotTreePlan tree = plan_snapshot_tree(splits, pool.size());
-    const auto chunks = chunk_slice(0, configs_per_point, kTreeChunk1q);
-    const auto always = [](std::size_t) { return true; };
-    if (subset.size() >= pool.size()) {
-      // Enough points to saturate the pool: chains stream, each point's
-      // chunks run inline, at most two live snapshots per lane.
-      run_tree_chains(pool, *prep.exec, prep.transpiled.circuit, spec, tree,
-                      always,
-                      [&](std::size_t s,
-                          const backend::PrefixSnapshotPtr& snap) {
-                        for (const auto& [begin, end] : chunks) {
-                          sweep_range(s, begin, end, snap.get());
-                        }
-                      });
-    } else {
-      // Fewer points than lanes: derive the (few) snapshots via chains,
-      // then fan the same chunks out across the pool so no lane idles.
-      std::vector<backend::PrefixSnapshotPtr> snapshots(subset.size());
-      run_tree_chains(pool, *prep.exec, prep.transpiled.circuit, spec, tree,
-                      always,
-                      [&](std::size_t s,
-                          const backend::PrefixSnapshotPtr& snap) {
-                        snapshots[s] = snap;
-                      });
-      pool.parallel_for(
-          subset.size() * chunks.size(), [&](std::size_t item) {
-            const std::size_t s = item / chunks.size();
-            const auto& [begin, end] = chunks[item % chunks.size()];
-            sweep_range(s, begin, end, snapshots[s].get());
-          });
-    }
-  } else if (spec.use_checkpoints && prep.exec->supports_checkpointing()) {
-    // All configs at one injection point share the gate prefix before the
-    // fault, so the natural unit of parallel work is the point: evolve the
-    // prefix once, then sweep the whole grid from that snapshot.
-    if (subset.size() >= pool.size()) {
-      // Enough points to saturate the pool; at most one live snapshot per
-      // lane bounds snapshot memory.
-      pool.parallel_for(subset.size(), [&](std::size_t s) {
-        const auto snapshot = prep.exec->prepare_prefix(
-            prep.transpiled.circuit, result.points[subset[s]].split_index(),
-            spec.shots, spec.seed);
-        sweep_range(s, 0, configs_per_point, snapshot.get());
-      });
-    } else {
-      // Fewer points than workers: prepare the (few) snapshots in
-      // parallel, then chunk each point's grid sweep across the pool so no
-      // lane idles. Snapshots are immutable and thread-shareable; each
-      // chunk is its own (smaller) batch submission.
-      std::vector<backend::PrefixSnapshotPtr> snapshots(subset.size());
-      pool.parallel_for(subset.size(), [&](std::size_t s) {
-        snapshots[s] = prep.exec->prepare_prefix(
-            prep.transpiled.circuit, result.points[subset[s]].split_index(),
-            spec.shots, spec.seed);
-      });
-      const std::size_t chunks_per_point = std::min(
-          configs_per_point,
-          (pool.size() + subset.size() - 1) / subset.size());
-      const std::size_t chunk_size =
-          (configs_per_point + chunks_per_point - 1) / chunks_per_point;
-      pool.parallel_for(
-          subset.size() * chunks_per_point, [&](std::size_t item) {
-            const std::size_t s = item / chunks_per_point;
-            const std::size_t begin = (item % chunks_per_point) * chunk_size;
-            const std::size_t end =
-                std::min(begin + chunk_size, configs_per_point);
-            if (begin < end) sweep_range(s, begin, end, snapshots[s].get());
-          });
-    }
-  } else {
-    // No prefix amortization available: fan out per config so small point
-    // counts still use every worker.
-    pool.parallel_for(total, [&](std::size_t idx) {
-      run_config(idx / configs_per_point, idx % configs_per_point, nullptr);
-    });
-  }
-
-  result.meta = base_metadata(spec, prep);
+  result.meta = base_metadata(spec, prep, slice_begin.back());
   result.meta.double_fault = false;
-  result.meta.executions = total;
-  result.meta.injections = campaign_injections(total, spec.shots);
+  result.points = std::move(prep.points);
   return result;
 }
 
-/// Adaptive single-fault engine (CampaignSpec::adaptive): each subset point
-/// runs the adaptive estimator (core/adaptive.hpp) instead of sweeping the
-/// whole grid, executing the estimator's batches through the same
-/// snapshot + run_suffix_batch machinery as the exhaustive engine with the
-/// same global (point, phi, theta)-addressed seeds. A point's whole
-/// estimation loop lives on one pool lane and its batch compositions are a
-/// pure function of the estimator's deterministic request sequence, so
-/// records are bit-identical across reruns, thread counts and shardings —
-/// the same contract as the exhaustive engine, reached the same way.
-/// Per-point record blocks are sorted into grid-enumeration order before
-/// they are stored or emitted, keeping merged-shard output canonical.
-CampaignResult adaptive_campaign_impl(const CampaignSpec& spec, Prepared& prep,
-                                      std::vector<InjectionPoint> points,
-                                      std::span<const std::size_t> subset) {
+/// Adaptive single-fault source (CampaignSpec::adaptive): each subset point
+/// is one executor work item that runs the adaptive estimator
+/// (core/adaptive.hpp) from the point's snapshot, submitting the
+/// estimator's batches with the exhaustive source's seeds. Batch
+/// compositions are a pure function of the estimator's deterministic
+/// request sequence, so records are bit-identical across reruns, thread
+/// counts and shardings. Per-point record blocks are sorted into
+/// grid-enumeration order before they are stored or emitted, keeping
+/// merged-shard output canonical.
+CampaignResult adaptive_campaign(const CampaignSpec& spec, Prepared& prep,
+                                 std::span<const std::size_t> subset) {
   const AdaptivePolicy& policy = *spec.adaptive;
   validate_adaptive_policy(policy);
 
   CampaignResult result;
-  result.points = std::move(points);
-  validate_subset(subset, result.points.size());
-  result.point_estimates.resize(result.points.size());
-
-  const int num_theta = spec.grid.num_theta();
-  const bool checkpointed =
-      spec.use_checkpoints && prep.exec->supports_checkpointing();
+  result.point_estimates.resize(prep.points.size());
   std::vector<std::vector<InjectionRecord>> blocks(subset.size());
   std::atomic<std::uint64_t> executions{0};
 
-  util::ThreadPool pool(static_cast<std::size_t>(
-      spec.threads > 0 ? spec.threads : 0));
-  pool.parallel_for(subset.size(), [&](std::size_t s) {
+  const auto run_point = [&](std::size_t s, std::size_t, std::size_t,
+                             const backend::PrefixSnapshot& snapshot) {
     const std::size_t global_point = subset[s];
-    const InjectionPoint& point = result.points[global_point];
-    backend::PrefixSnapshotPtr snapshot;
-    if (checkpointed) {
-      snapshot = prep.exec->prepare_prefix(prep.transpiled.circuit,
-                                           point.split_index(), spec.shots,
-                                           spec.seed);
-    }
+    const InjectionPoint& point = prep.points[global_point];
     auto& block = blocks[s];
-
-    const auto make_config = [&](std::uint32_t rem) {
-      const int phi_index = static_cast<int>(rem / num_theta);
-      const int theta_index = static_cast<int>(rem % num_theta);
-      const PhaseShiftFault fault{spec.grid.theta_at(theta_index),
-                                  spec.grid.phi_at(phi_index)};
-      backend::SuffixConfig config;
-      config.injected = {fault.as_instruction(point.qubit)};
-      config.seed = config_seed(spec, global_point,
-                                static_cast<std::uint64_t>(phi_index),
-                                static_cast<std::uint64_t>(theta_index), 0);
-      return config;
-    };
-    const auto score = [&](std::uint32_t rem, std::span<const double> probs) {
-      InjectionRecord rec;
-      rec.point_index = static_cast<std::uint32_t>(global_point);
-      rec.theta_index = static_cast<int>(rem % num_theta);
-      rec.phi_index = static_cast<int>(rem / num_theta);
-      score_record(rec, probs, prep.golden);
-      block.push_back(rec);
-      return rec.qvf;
-    };
     const AdaptiveBatchEval eval =
         [&](std::span<const std::uint32_t> rems) -> std::vector<double> {
+      std::vector<backend::SuffixConfig> configs;
+      configs.reserve(rems.size());
+      for (const std::uint32_t rem : rems) {
+        configs.push_back(single_config(spec, point, global_point, rem));
+      }
+      const auto runs = run_batch(spec, prep, snapshot, configs);
       std::vector<double> qvfs;
       qvfs.reserve(rems.size());
-      if (checkpointed && spec.use_batch) {
-        std::vector<backend::SuffixConfig> configs;
-        configs.reserve(rems.size());
-        for (const std::uint32_t rem : rems) {
-          configs.push_back(make_config(rem));
-        }
-        const auto runs =
-            prep.exec->run_suffix_batch(*snapshot, configs, spec.shots);
-        require(runs.size() == configs.size(),
-                "campaign: run_suffix_batch returned wrong result count");
-        for (std::size_t k = 0; k < runs.size(); ++k) {
-          qvfs.push_back(score(rems[k], runs[k].probabilities));
-        }
-      } else {
-        for (const std::uint32_t rem : rems) {
-          const backend::SuffixConfig config = make_config(rem);
-          backend::ExecutionResult run;
-          if (checkpointed) {
-            run = prep.exec->run_suffix(*snapshot, config.injected,
-                                        spec.shots, config.seed);
-          } else {
-            run = prep.exec->run(
-                backend::splice_circuit(prep.transpiled.circuit,
-                                        point.split_index(), config.injected),
-                spec.shots, config.seed);
-          }
-          qvfs.push_back(score(rem, run.probabilities));
-        }
+      for (std::size_t k = 0; k < runs.size(); ++k) {
+        InjectionRecord& rec = block.emplace_back();
+        fill_single_record(rec, spec, prep, global_point, rems[k],
+                           runs[k].probabilities);
+        qvfs.push_back(rec.qvf);
       }
       return qvfs;
     };
@@ -588,67 +510,45 @@ CampaignResult adaptive_campaign_impl(const CampaignSpec& spec, Prepared& prep,
       spec.record_sink->emit(block);
       block = {};
     }
-  });
+  };
+  // One unit per point: the estimation loop is a single work item.
+  execute(spec, prep, subset, identity_subset(subset.size() + 1), 1,
+          run_point);
 
   if (!spec.record_sink) {
     for (auto& block : blocks) {
       result.records.insert(result.records.end(), block.begin(), block.end());
     }
   }
-  result.meta = base_metadata(spec, prep);
+  result.meta =
+      base_metadata(spec, prep, executions.load(std::memory_order_relaxed));
   result.meta.double_fault = false;
   result.meta.adaptive = true;
   result.meta.adaptive_policy = policy;
-  result.meta.executions = executions.load(std::memory_order_relaxed);
-  result.meta.injections =
-      campaign_injections(result.meta.executions, spec.shots);
+  result.points = std::move(prep.points);
   return result;
 }
 
-}  // namespace
-
-CampaignResult run_single_fault_campaign(const CampaignSpec& spec) {
-  Prepared prep = prepare(spec);
-  auto points = stride_points(
-      enumerate_injection_points(prep.transpiled, spec.strategy),
-      spec.max_points);
-  require(!points.empty(), "campaign: no injection points");
-  const auto subset = identity_subset(points.size());
-  if (spec.adaptive) {
-    return adaptive_campaign_impl(spec, prep, std::move(points), subset);
-  }
-  return single_campaign_impl(spec, prep, std::move(points), subset);
+CampaignResult single_or_adaptive(const CampaignSpec& spec, Prepared& prep,
+                                  std::span<const std::size_t> subset) {
+  validate_subset(subset, prep.points.size());
+  return spec.adaptive ? adaptive_campaign(spec, prep, subset)
+                       : single_campaign(spec, prep, subset);
 }
 
-CampaignResult run_single_fault_campaign_subset(
-    const CampaignSpec& spec, std::span<const std::size_t> point_indices) {
-  Prepared prep = prepare(spec);
-  auto points = stride_points(
-      enumerate_injection_points(prep.transpiled, spec.strategy),
-      spec.max_points);
-  require(!points.empty(), "campaign: no injection points");
-  if (spec.adaptive) {
-    return adaptive_campaign_impl(spec, prep, std::move(points),
-                                  point_indices);
-  }
-  return single_campaign_impl(spec, prep, std::move(points), point_indices);
-}
-
-namespace {
-
-/// Shared double-fault engine (see single_campaign_impl for the sharding
+/// Double-fault source (§IV-C; see single_campaign for the sharding
 /// contract). The flat config list is enumerated over ALL points so every
 /// config knows its global flat index — the seed input — and then filtered
-/// to the subset's points; record slots are subset-local in global order.
-CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
-                                    std::vector<InjectionPoint> points,
-                                    std::span<const std::size_t> subset,
-                                    bool require_neighbors) {
-  CampaignResult result;
-  result.points = std::move(points);
-  validate_subset(subset, result.points.size());
-
-  std::vector<char> in_subset(result.points.size(), 0);
+/// to the subset's points; each subset point owns one contiguous slice of
+/// it (the full primary x secondary grid over every coupled neighbor).
+CampaignResult double_campaign(const CampaignSpec& spec, Prepared& prep,
+                               std::span<const std::size_t> subset,
+                               bool require_neighbors) {
+  require(!spec.adaptive,
+          "campaign: adaptive estimation supports single-fault campaigns "
+          "only");
+  validate_subset(subset, prep.points.size());
+  std::vector<char> in_subset(prep.points.size(), 0);
   for (const std::size_t g : subset) in_subset[g] = 1;
 
   // Flatten (point, neighbor, theta0, phi0, theta1 <= theta0, phi1 <= phi0)
@@ -665,9 +565,9 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   std::vector<Config> configs;
   std::uint64_t global_index = 0;
   bool any_neighbors = false;
-  for (std::size_t p = 0; p < result.points.size(); ++p) {
+  for (std::size_t p = 0; p < prep.points.size(); ++p) {
     const auto neighbors =
-        neighbor_candidates(prep.transpiled, prep.coupling, result.points[p]);
+        neighbor_candidates(prep.transpiled, prep.coupling, prep.points[p]);
     if (!neighbors.empty()) any_neighbors = true;
     for (int nb : neighbors) {
       for (int j0 = 0; j0 < spec.grid.num_phi(); ++j0) {
@@ -689,11 +589,9 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
   require(!require_neighbors || any_neighbors,
           "double campaign: no coupled active neighbors (check topology)");
 
-  // Each subset point owns one contiguous slice of `configs` (the list is
-  // ordered by point). The boundaries drive both the checkpointed sweeps
-  // and the streaming emitter, so compute them once up front.
+  // The list is ordered by point: slice s spans the configs of subset[s].
   std::vector<std::size_t> slice_begin(subset.size() + 1, 0);
-  std::vector<std::size_t> subset_pos(result.points.size(), 0);
+  std::vector<std::size_t> subset_pos(prep.points.size(), 0);
   for (std::size_t s = 0; s < subset.size(); ++s) subset_pos[subset[s]] = s;
   for (const Config& cfg : configs) {
     ++slice_begin[subset_pos[cfg.point_index] + 1];
@@ -702,23 +600,11 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
     slice_begin[s + 1] += slice_begin[s];
   }
 
-  std::unique_ptr<PointEmitter> emitter;
-  if (spec.record_sink) {
-    // Streaming mode: see single_campaign_impl. Zero-length slices (points
-    // with no coupled active neighbor) simply never emit.
-    emitter = std::make_unique<PointEmitter>(*spec.record_sink, subset.size());
-    for (std::size_t s = 0; s < subset.size(); ++s) {
-      emitter->set_slice_size(s, slice_begin[s + 1] - slice_begin[s]);
-    }
-  } else {
-    result.records.resize(configs.size());
-  }
-
-  // The single source of a flat config's fault pair and seed, shared by
-  // batched and per-config submission.
-  const auto make_config = [&](std::size_t idx) {
+  CampaignResult result;
+  RecordSlots slots(spec.record_sink, result.records, slice_begin);
+  const auto make_config = [&](std::size_t, std::size_t idx) {
     const Config& cfg = configs[idx];
-    const InjectionPoint& point = result.points[cfg.point_index];
+    const InjectionPoint& point = prep.points[cfg.point_index];
     const PhaseShiftFault primary{spec.grid.theta_at(cfg.theta_index),
                                   spec.grid.phi_at(cfg.phi_index)};
     const PhaseShiftFault secondary{spec.grid.theta_at(cfg.theta1_index),
@@ -731,14 +617,10 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
                           static_cast<std::uint64_t>(cfg.phi_index));
     return sc;
   };
-
-  // Fills and scores record `idx`; shared by the per-config and batched
-  // paths so the field mapping from Config has a single source.
-  const auto fill_record = [&](std::size_t idx, std::span<const double> probs) {
+  const auto fill = [&](std::size_t s, std::size_t idx,
+                        std::span<const double> probs) {
     const Config& cfg = configs[idx];
-    const std::size_t s = subset_pos[cfg.point_index];
-    InjectionRecord& rec = emitter ? emitter->slot(s, idx - slice_begin[s])
-                                   : result.records[idx];
+    InjectionRecord& rec = slots.slot(s, idx);
     rec.point_index = cfg.point_index;
     rec.theta_index = cfg.theta_index;
     rec.phi_index = cfg.phi_index;
@@ -746,183 +628,41 @@ CampaignResult double_campaign_impl(const CampaignSpec& spec, Prepared& prep,
     rec.theta1_index = cfg.theta1_index;
     rec.phi1_index = cfg.phi1_index;
     score_record(rec, probs, prep.golden);
-    if (emitter) emitter->complete_one(s);
+    slots.complete(s);
   };
+  execute(spec, prep, subset, slice_begin, kChunk2q,
+          batch_sweep(spec, prep, make_config, fill));
 
-  const auto run_config = [&](std::size_t idx,
-                              const backend::PrefixSnapshot* snapshot) {
-    const backend::SuffixConfig sc = make_config(idx);
-    backend::ExecutionResult run;
-    if (snapshot) {
-      run = prep.exec->run_suffix(*snapshot, sc.injected, spec.shots, sc.seed);
-    } else {
-      run = prep.exec->run(
-          backend::splice_circuit(
-              prep.transpiled.circuit,
-              result.points[configs[idx].point_index].split_index(),
-              sc.injected),
-          spec.shots, sc.seed);
-    }
-    fill_record(idx, run.probabilities);
-  };
-
-  // Sweeps flat configs [begin, end) — all at the same point — from one
-  // snapshot, batched or per-config.
-  const auto sweep_range = [&](std::size_t begin, std::size_t end,
-                               const backend::PrefixSnapshot* snapshot) {
-    if (!spec.use_batch) {
-      for (std::size_t idx = begin; idx < end; ++idx) {
-        run_config(idx, snapshot);
-      }
-      return;
-    }
-    std::vector<backend::SuffixConfig> batch;
-    batch.reserve(end - begin);
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      batch.push_back(make_config(idx));
-    }
-    const auto runs = prep.exec->run_suffix_batch(*snapshot, batch, spec.shots);
-    require(runs.size() == batch.size(),
-            "campaign: run_suffix_batch returned wrong result count");
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      fill_record(begin + k, runs[k].probabilities);
-    }
-  };
-
-  util::ThreadPool pool(static_cast<std::size_t>(
-      spec.threads > 0 ? spec.threads : 0));
-  if (configs.empty()) {
-    // Empty shard (or no neighbors anywhere in the subset): metadata only.
-  } else if (spec.use_checkpoints && prep.exec->supports_checkpointing()) {
-    // Every config in a point's slice shares the prefix before the
-    // injection site and sweeps from one snapshot.
-    if (spec.use_tree) {
-      // Prefix-tree engine: snapshots deduplicated by split and derived
-      // along chains; each point's slice — the full primary x secondary
-      // grid over every coupled neighbor — sweeps from its shared
-      // snapshot in deterministic fixed-size chunks (see the single-fault
-      // tree branch). Points whose slice is empty (no coupled active
-      // neighbor) are skipped without materializing a snapshot.
-      std::vector<std::size_t> splits(subset.size());
-      for (std::size_t s = 0; s < subset.size(); ++s) {
-        splits[s] = result.points[subset[s]].split_index();
-      }
-      const SnapshotTreePlan tree = plan_snapshot_tree(splits, pool.size());
-      const auto has_work = [&](std::size_t s) {
-        return slice_begin[s] < slice_begin[s + 1];
-      };
-      if (subset.size() >= pool.size()) {
-        run_tree_chains(
-            pool, *prep.exec, prep.transpiled.circuit, spec, tree, has_work,
-            [&](std::size_t s, const backend::PrefixSnapshotPtr& snap) {
-              for (const auto& [begin, end] : chunk_slice(
-                       slice_begin[s], slice_begin[s + 1], kTreeChunk2q)) {
-                sweep_range(begin, end, snap.get());
-              }
-            });
-      } else {
-        std::vector<backend::PrefixSnapshotPtr> snapshots(subset.size());
-        run_tree_chains(
-            pool, *prep.exec, prep.transpiled.circuit, spec, tree, has_work,
-            [&](std::size_t s, const backend::PrefixSnapshotPtr& snap) {
-              snapshots[s] = snap;
-            });
-        struct ChunkItem {
-          std::size_t subset_pos, begin, end;
-        };
-        std::vector<ChunkItem> chunks;
-        for (std::size_t s = 0; s < subset.size(); ++s) {
-          for (const auto& [begin, end] : chunk_slice(
-                   slice_begin[s], slice_begin[s + 1], kTreeChunk2q)) {
-            chunks.push_back({s, begin, end});
-          }
-        }
-        pool.parallel_for(chunks.size(), [&](std::size_t i) {
-          sweep_range(chunks[i].begin, chunks[i].end,
-                      snapshots[chunks[i].subset_pos].get());
-        });
-      }
-    } else if (subset.size() >= pool.size()) {
-      pool.parallel_for(subset.size(), [&](std::size_t s) {
-        if (slice_begin[s] == slice_begin[s + 1]) return;  // no neighbors
-        const auto snapshot = prep.exec->prepare_prefix(
-            prep.transpiled.circuit, result.points[subset[s]].split_index(),
-            spec.shots, spec.seed);
-        sweep_range(slice_begin[s], slice_begin[s + 1], snapshot.get());
-      });
-    } else {
-      // Fewer points than workers: shared snapshots, slices chunked across
-      // lanes so the (large) secondary sweeps saturate the pool.
-      std::vector<backend::PrefixSnapshotPtr> snapshots(subset.size());
-      pool.parallel_for(subset.size(), [&](std::size_t s) {
-        if (slice_begin[s] == slice_begin[s + 1]) return;
-        snapshots[s] = prep.exec->prepare_prefix(
-            prep.transpiled.circuit, result.points[subset[s]].split_index(),
-            spec.shots, spec.seed);
-      });
-      struct ChunkItem {
-        std::size_t subset_pos, begin, end;
-      };
-      std::vector<ChunkItem> chunks;
-      const std::size_t chunks_per_point =
-          (pool.size() + subset.size() - 1) / subset.size();
-      for (std::size_t s = 0; s < subset.size(); ++s) {
-        const std::size_t len = slice_begin[s + 1] - slice_begin[s];
-        if (len == 0) continue;
-        const std::size_t n_chunks = std::min(len, chunks_per_point);
-        const std::size_t chunk_size = (len + n_chunks - 1) / n_chunks;
-        for (std::size_t k = 0; k < n_chunks; ++k) {
-          const std::size_t begin = slice_begin[s] + k * chunk_size;
-          const std::size_t end =
-              std::min(begin + chunk_size, slice_begin[s + 1]);
-          if (begin < end) chunks.push_back({s, begin, end});
-        }
-      }
-      pool.parallel_for(chunks.size(), [&](std::size_t i) {
-        sweep_range(chunks[i].begin, chunks[i].end,
-                    snapshots[chunks[i].subset_pos].get());
-      });
-    }
-  } else {
-    pool.parallel_for(configs.size(),
-                      [&](std::size_t idx) { run_config(idx, nullptr); });
-  }
-
-  result.meta = base_metadata(spec, prep);
+  result.meta = base_metadata(spec, prep, configs.size());
   result.meta.double_fault = true;
-  result.meta.executions = configs.size();
-  result.meta.injections = campaign_injections(configs.size(), spec.shots);
+  result.points = std::move(prep.points);
   return result;
 }
 
 }  // namespace
 
+CampaignResult run_single_fault_campaign(const CampaignSpec& spec) {
+  Prepared prep = prepare(spec, kNoPoints);
+  return single_or_adaptive(spec, prep, identity_subset(prep.points.size()));
+}
+
+CampaignResult run_single_fault_campaign_subset(
+    const CampaignSpec& spec, std::span<const std::size_t> point_indices) {
+  Prepared prep = prepare(spec, kNoPoints);
+  return single_or_adaptive(spec, prep, point_indices);
+}
+
 CampaignResult run_double_fault_campaign(const CampaignSpec& spec) {
-  require(!spec.adaptive,
-          "campaign: adaptive estimation supports single-fault campaigns "
-          "only");
-  Prepared prep = prepare(spec);
-  auto points = stride_points(
-      enumerate_injection_points(prep.transpiled, spec.strategy),
-      spec.max_points);
-  require(!points.empty(), "campaign: no injection points");
-  const auto subset = identity_subset(points.size());
-  return double_campaign_impl(spec, prep, std::move(points), subset,
-                              /*require_neighbors=*/true);
+  Prepared prep = prepare(spec, kNoPoints);
+  return double_campaign(spec, prep, identity_subset(prep.points.size()),
+                         /*require_neighbors=*/true);
 }
 
 CampaignResult run_double_fault_campaign_subset(
     const CampaignSpec& spec, std::span<const std::size_t> point_indices) {
-  require(!spec.adaptive,
-          "campaign: adaptive estimation supports single-fault campaigns "
-          "only");
-  Prepared prep = prepare(spec);
-  auto points = stride_points(
-      enumerate_injection_points(prep.transpiled, spec.strategy),
-      spec.max_points);
-  require(!points.empty(), "campaign: no injection points");
-  return double_campaign_impl(spec, prep, std::move(points), point_indices,
-                              /*require_neighbors=*/false);
+  Prepared prep = prepare(spec, kNoPoints);
+  return double_campaign(spec, prep, point_indices,
+                         /*require_neighbors=*/false);
 }
 
 std::vector<NamedFaultQvf> run_named_fault_campaign(
@@ -930,73 +670,38 @@ std::vector<NamedFaultQvf> run_named_fault_campaign(
   require(!spec.adaptive,
           "campaign: adaptive estimation supports single-fault campaigns "
           "only");
-  Prepared prep = prepare(spec);
-  const auto points = stride_points(
-      enumerate_injection_points(prep.transpiled, spec.strategy),
-      spec.max_points);
-  require(!points.empty(), "named-fault campaign: no injection points");
+  Prepared prep = prepare(spec, "named-fault campaign: no injection points");
 
-  // One prefix snapshot per point covers every named fault injected there,
-  // so the point loop is the parallel (and amortization) axis.
-  const bool checkpointed =
-      spec.use_checkpoints && prep.exec->supports_checkpointing();
-  std::vector<std::vector<double>> qvfs(
-      faults.size(), std::vector<double>(points.size(), 0.0));
-  util::ThreadPool pool(static_cast<std::size_t>(
-      spec.threads > 0 ? spec.threads : 0));
-  pool.parallel_for(points.size(), [&](std::size_t p) {
-    const InjectionPoint& point = points[p];
-    // Single source of each fault's injected gate and seed, shared by the
-    // batched, sequential-suffix, and full-run submission paths.
-    const auto make_config = [&](std::size_t f) {
-      backend::SuffixConfig config;
-      config.injected = {faults[f].fault.as_instruction(point.qubit)};
-      config.seed = config_seed(spec, f, p, 0, 1);
-      return config;
-    };
-    backend::PrefixSnapshotPtr snapshot;
-    if (checkpointed) {
-      snapshot = prep.exec->prepare_prefix(
-          prep.transpiled.circuit, point.split_index(), spec.shots, spec.seed);
-    }
-    if (snapshot && spec.use_batch) {
-      // All named faults at one point go out as a single batch.
-      std::vector<backend::SuffixConfig> batch;
-      batch.reserve(faults.size());
-      for (std::size_t f = 0; f < faults.size(); ++f) {
-        batch.push_back(make_config(f));
-      }
-      const auto runs =
-          prep.exec->run_suffix_batch(*snapshot, batch, spec.shots);
-      require(runs.size() == batch.size(),
-              "campaign: run_suffix_batch returned wrong result count");
-      for (std::size_t f = 0; f < faults.size(); ++f) {
-        qvfs[f][p] = compute_qvf(runs[f].probabilities, prep.golden);
-      }
-      return;
-    }
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      const backend::SuffixConfig config = make_config(f);
-      backend::ExecutionResult run;
-      if (snapshot) {
-        run = prep.exec->run_suffix(*snapshot, config.injected, spec.shots,
-                                    config.seed);
-      } else {
-        run = prep.exec->run(
-            backend::splice_circuit(prep.transpiled.circuit,
-                                    point.split_index(), config.injected),
-            spec.shots, config.seed);
-      }
-      qvfs[f][p] = compute_qvf(run.probabilities, prep.golden);
-    }
-  });
+  // Named source: point p owns one slice of every named fault, swept as a
+  // single chunk (one batch per point).
+  const std::size_t num_points = prep.points.size();
+  std::vector<std::size_t> slice_begin(num_points + 1);
+  for (std::size_t p = 0; p <= num_points; ++p) {
+    slice_begin[p] = p * faults.size();
+  }
+  std::vector<std::vector<double>> qvfs(faults.size(),
+                                        std::vector<double>(num_points, 0.0));
+  const auto make_config = [&](std::size_t p, std::size_t idx) {
+    const std::size_t f = idx - slice_begin[p];
+    backend::SuffixConfig config;
+    config.injected = {faults[f].fault.as_instruction(prep.points[p].qubit)};
+    config.seed = config_seed(spec, f, p, 0, 1);
+    return config;
+  };
+  const auto fill = [&](std::size_t p, std::size_t idx,
+                        std::span<const double> probs) {
+    qvfs[idx - slice_begin[p]][p] = compute_qvf(probs, prep.golden);
+  };
+  execute(spec, prep, identity_subset(num_points), slice_begin,
+          std::max<std::size_t>(faults.size(), 1),
+          batch_sweep(spec, prep, make_config, fill));
 
   std::vector<NamedFaultQvf> out;
   for (std::size_t f = 0; f < faults.size(); ++f) {
     NamedFaultQvf entry;
     entry.fault_name = faults[f].name;
     entry.mean_qvf = util::mean_of(qvfs[f]);
-    entry.executions = points.size();
+    entry.executions = num_points;
     out.push_back(std::move(entry));
   }
   return out;

@@ -43,9 +43,9 @@ void save_manifest(const ShardManifest& manifest, const std::string& path) {
   std::ofstream out(path);
   if (!out.is_open()) throw Error("manifest: cannot open for writing: " + path);
 
-  // Written files always use the current format (use_tree is a v2 key,
-  // idle_noise a v3 key, adaptive a v4 key), whatever version the in-memory
-  // manifest was loaded from.
+  // Written files always use the current format (idle_noise is a v3 key,
+  // adaptive a v4 key), whatever version the in-memory manifest was loaded
+  // from.
   out << "qufi-shard-manifest " << 4 << "\n";
   out << "shard " << manifest.shard_index << " " << manifest.shard_count
       << "\n";
@@ -62,9 +62,6 @@ void save_manifest(const ShardManifest& manifest, const std::string& path) {
   out << "noise_scale " << g17(manifest.noise_scale) << "\n";
   out << "max_points " << manifest.max_points << "\n";
   out << "double " << (manifest.double_fault ? 1 : 0) << "\n";
-  out << "use_checkpoints " << (manifest.use_checkpoints ? 1 : 0) << "\n";
-  out << "use_batch " << (manifest.use_batch ? 1 : 0) << "\n";
-  out << "use_tree " << (manifest.use_tree ? 1 : 0) << "\n";
   out << "idle_noise " << (manifest.idle_noise ? 1 : 0) << "\n";
   if (manifest.adaptive) {
     out << "adaptive " << g17(manifest.adaptive->max_config_fraction) << " "
@@ -160,18 +157,12 @@ ShardManifest load_manifest(const std::string& path) {
       int v = 0;
       if (!(ls >> v)) fail("bad double line");
       m.double_fault = v != 0;
-    } else if (key == "use_checkpoints") {
+    } else if (key == "use_checkpoints" || key == "use_batch" ||
+               key == "use_tree") {
+      // Retired engine-mode keys (campaigns have one executor): a value is
+      // still validated, then ignored.
       int v = 0;
-      if (!(ls >> v)) fail("bad use_checkpoints line");
-      m.use_checkpoints = v != 0;
-    } else if (key == "use_batch") {
-      int v = 0;
-      if (!(ls >> v)) fail("bad use_batch line");
-      m.use_batch = v != 0;
-    } else if (key == "use_tree") {
-      int v = 0;
-      if (!(ls >> v)) fail("bad use_tree line");
-      m.use_tree = v != 0;
+      if (!(ls >> v)) fail("bad " + key + " line");
     } else if (key == "idle_noise") {
       int v = 0;
       if (!(ls >> v)) fail("bad idle_noise line");
@@ -258,9 +249,6 @@ CampaignSpec manifest_to_spec(const ShardManifest& manifest) {
   spec.seed = manifest.seed;
   spec.noise_scale = manifest.noise_scale;
   spec.max_points = manifest.max_points;
-  spec.use_checkpoints = manifest.use_checkpoints;
-  spec.use_batch = manifest.use_batch;
-  spec.use_tree = manifest.use_tree;
   spec.idle_noise = manifest.idle_noise;
   spec.adaptive = manifest.adaptive;
   return spec;
@@ -305,9 +293,6 @@ std::vector<ShardManifest> make_manifests(const CampaignSpec& spec,
     m.noise_scale = spec.noise_scale;
     m.max_points = spec.max_points;
     m.double_fault = double_fault;
-    m.use_checkpoints = spec.use_checkpoints;
-    m.use_batch = spec.use_batch;
-    m.use_tree = spec.use_tree;
     m.idle_noise = spec.idle_noise;
     m.adaptive = spec.adaptive;
     m.point_indices = shard.point_indices;

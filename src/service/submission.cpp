@@ -2,14 +2,18 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "algorithms/algorithms.hpp"
 #include "dist/shard_plan.hpp"
 #include "noise/backend_props.hpp"
+#include "sim/density_matrix.hpp"
+#include "sim/statevector.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 
@@ -46,7 +50,6 @@ void save_submission(const CampaignRequest& request,
     out << "seed " << request.seed << "\n";
     out << "max_points " << request.max_points << "\n";
     out << "double " << (request.double_fault ? 1 : 0) << "\n";
-    out << "use_tree " << (request.use_tree ? 1 : 0) << "\n";
     out << "idle_noise " << (request.idle_noise ? 1 : 0) << "\n";
     out << "shards " << request.shards << "\n";
     out << "policy " << request.policy << "\n";
@@ -115,9 +118,10 @@ CampaignRequest load_submission(const std::string& path) {
       if (!(ls >> v)) fail("bad double line");
       request.double_fault = v != 0;
     } else if (key == "use_tree") {
+      // Retired engine-mode key (campaigns have one executor): a value is
+      // still validated, then ignored.
       int v = 0;
       if (!(ls >> v)) fail("bad use_tree line");
-      request.use_tree = v != 0;
     } else if (key == "idle_noise") {
       int v = 0;
       if (!(ls >> v)) fail("bad idle_noise line");
@@ -150,29 +154,6 @@ CampaignJob plan_submission(const CampaignRequest& request) {
         "submission: shards must be >= 1 (campaign " + request.name + ")");
   }
 
-  algo::AlgorithmCircuit bench = [&] {
-    if (request.circuit == "ghz") return algo::ghz(request.width);
-    if (request.circuit == "grover") {
-      return algo::grover(request.width,
-                          (1ULL << static_cast<unsigned>(request.width)) - 1);
-    }
-    return algo::paper_circuit(request.circuit, request.width);
-  }();
-
-  CampaignSpec spec;
-  spec.circuit = bench.circuit;
-  spec.expected_outputs = bench.expected_outputs;
-  spec.backend = noise::fake_backend_by_name(request.device, request.width);
-  spec.transpile_options.optimization_level = request.opt_level;
-  spec.grid.theta_step_deg = request.theta_step;
-  spec.grid.phi_step_deg = request.phi_step;
-  spec.grid.phi_max_deg = request.phi_max;
-  spec.shots = request.shots;
-  spec.seed = request.seed;
-  spec.max_points = request.max_points;
-  spec.use_tree = request.use_tree;
-  spec.idle_noise = request.idle_noise;
-
   dist::ShardPolicy policy;
   if (request.policy == "cost") {
     policy = dist::ShardPolicy::CostWeighted;
@@ -197,6 +178,41 @@ CampaignJob plan_submission(const CampaignRequest& request) {
                 "(campaign " + request.name + ")");
   }
 
+  // Bound the state before anything is built: a width the worker backend
+  // cannot simulate would fail every shard attempt, and a huge one would
+  // exhaust memory while the circuit and device are still being built.
+  const int max_width = kind == dist::WorkerBackendKind::Density
+                            ? sim::DensityMatrix::kMaxQubits
+                            : sim::Statevector::kMaxQubits;
+  if (request.width < 1 || request.width > max_width) {
+    throw Error("submission: width " + std::to_string(request.width) +
+                " outside [1, " + std::to_string(max_width) + "] for the " +
+                request.backend_kind + " backend (campaign " + request.name +
+                ")");
+  }
+
+  algo::AlgorithmCircuit bench = [&] {
+    if (request.circuit == "ghz") return algo::ghz(request.width);
+    if (request.circuit == "grover") {
+      return algo::grover(request.width,
+                          (1ULL << static_cast<unsigned>(request.width)) - 1);
+    }
+    return algo::paper_circuit(request.circuit, request.width);
+  }();
+
+  CampaignSpec spec;
+  spec.circuit = bench.circuit;
+  spec.expected_outputs = bench.expected_outputs;
+  spec.backend = noise::fake_backend_by_name(request.device, request.width);
+  spec.transpile_options.optimization_level = request.opt_level;
+  spec.grid.theta_step_deg = request.theta_step;
+  spec.grid.phi_step_deg = request.phi_step;
+  spec.grid.phi_max_deg = request.phi_max;
+  spec.shots = request.shots;
+  spec.seed = request.seed;
+  spec.max_points = request.max_points;
+  spec.idle_noise = request.idle_noise;
+
   const auto plan = dist::plan_campaign_shards(spec, request.shards, policy);
   CampaignJob job;
   job.name = request.name;
@@ -206,6 +222,35 @@ CampaignJob plan_submission(const CampaignRequest& request) {
       dist::make_manifests(spec, request.device, kind, plan,
                            request.double_fault);
   return job;
+}
+
+std::vector<SpoolOutcome> scan_spool(
+    const std::string& spool_dir,
+    const std::function<void(CampaignJob)>& submit) {
+  std::vector<SpoolOutcome> outcomes;
+  if (!std::filesystem::is_directory(spool_dir)) return outcomes;
+  for (const auto& entry : std::filesystem::directory_iterator(spool_dir)) {
+    if (entry.path().extension() == ".submission") {
+      outcomes.push_back({entry.path().string(), false, {}, {}});
+    }
+  }
+  std::sort(outcomes.begin(), outcomes.end(),
+            [](const SpoolOutcome& a, const SpoolOutcome& b) {
+              return a.path < b.path;
+            });
+  for (SpoolOutcome& outcome : outcomes) {
+    try {
+      outcome.request = load_submission(outcome.path);
+      submit(plan_submission(outcome.request));
+      outcome.accepted = true;
+    } catch (const std::exception& e) {
+      outcome.error = e.what();
+    }
+    const std::string target =
+        outcome.path + (outcome.accepted ? ".accepted" : ".rejected");
+    std::rename(outcome.path.c_str(), target.c_str());
+  }
+  return outcomes;
 }
 
 }  // namespace qufi::service

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "service/dispatcher.hpp"
 
@@ -26,7 +28,6 @@ struct CampaignRequest {
   std::uint64_t seed = 0x51754649;
   std::size_t max_points = 0;
   bool double_fault = false;
-  bool use_tree = true;
   bool idle_noise = false;
   std::uint32_t shards = 2;
   std::string policy = "cost";          ///< cost | points | tree
@@ -45,8 +46,29 @@ CampaignRequest load_submission(const std::string& path);
 /// Turns a request into a dispatchable job: builds the circuit and device,
 /// plans the shard partition (deterministic — re-planning the same request
 /// reproduces identical manifests), and stamps the job's name, priority and
-/// CSV path. Throws qufi::Error on unknown circuit/policy/backend names or
-/// invalid combinations (idle noise on the trajectory family).
+/// CSV path. Throws qufi::Error on unknown circuit/policy/backend names,
+/// invalid combinations (idle noise on the trajectory family), or a width
+/// outside [1, the worker backend's qubit limit] — checked before the
+/// circuit or device is built, so a hostile width never allocates.
 CampaignJob plan_submission(const CampaignRequest& request);
+
+/// What happened to one spool file in scan_spool.
+struct SpoolOutcome {
+  std::string path;         ///< the file as found (before the rename)
+  bool accepted = false;
+  CampaignRequest request;  ///< the loaded request, when accepted
+  std::string error;        ///< why it was rejected, otherwise
+};
+
+/// Admits every `*.submission` file in `spool_dir` in sorted
+/// (deterministic) order: loads and plans it, hands the job to `submit`,
+/// and renames the file to `*.accepted`. A file whose load, plan or submit
+/// throws any std::exception — qufi::Error for malformed input, but also
+/// std::bad_alloc or anything else — is renamed to `*.rejected` instead, so
+/// a hostile submission can neither wedge the intake loop nor end the
+/// daemon. A missing spool directory yields no outcomes.
+std::vector<SpoolOutcome> scan_spool(
+    const std::string& spool_dir,
+    const std::function<void(CampaignJob)>& submit);
 
 }  // namespace qufi::service

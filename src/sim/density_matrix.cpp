@@ -7,7 +7,7 @@
 namespace qufi::sim {
 
 DensityMatrix::DensityMatrix(int num_qubits) : num_qubits_(num_qubits) {
-  require(num_qubits >= 1 && num_qubits <= 12,
+  require(num_qubits >= 1 && num_qubits <= kMaxQubits,
           "DensityMatrix: qubit count out of supported range [1, 12]");
   dim_ = std::uint64_t{1} << num_qubits;
   rho_.assign(dim_ * dim_, cplx{});

@@ -24,6 +24,9 @@ namespace qufi::sim {
 /// bit q.
 class DensityMatrix {
  public:
+  /// Widest supported state (4^12 complex entries, 256 MiB).
+  static constexpr int kMaxQubits = 12;
+
   /// Initializes |0...0><0...0|.
   explicit DensityMatrix(int num_qubits);
 

@@ -10,7 +10,7 @@
 namespace qufi::sim {
 
 Statevector::Statevector(int num_qubits) : num_qubits_(num_qubits) {
-  require(num_qubits >= 1 && num_qubits <= 24,
+  require(num_qubits >= 1 && num_qubits <= kMaxQubits,
           "Statevector: qubit count out of supported range [1, 24]");
   amps_.assign(std::size_t{1} << num_qubits, cplx{});
   amps_[0] = cplx{1, 0};

@@ -18,7 +18,10 @@ using util::cplx;
 /// per-shot engine of the Monte-Carlo trajectory backend.
 class Statevector {
  public:
-  /// Initializes |0...0> on `num_qubits` qubits (max 24 for sanity).
+  /// Widest supported state (2^24 amplitudes, 256 MiB).
+  static constexpr int kMaxQubits = 24;
+
+  /// Initializes |0...0> on `num_qubits` qubits (at most kMaxQubits).
   explicit Statevector(int num_qubits);
 
   /// Takes ownership of explicit amplitudes (size must be a power of two).

@@ -1,6 +1,6 @@
 // Prefix-checkpointed execution tests: the two-phase backend API, campaign
-// equivalence against full re-simulation, integer point striding, and
-// thread-pool exception short-circuiting.
+// equivalence against the full re-simulation oracle (oracle_backend.hpp),
+// integer point striding, and thread-pool exception short-circuiting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +17,7 @@
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
 #include "util/thread_pool.hpp"
+#include "oracle_backend.hpp"
 
 namespace qufi {
 namespace {
@@ -289,10 +290,8 @@ TEST(CheckpointEquivalence, SingleFaultCampaignsMatchOnPaperCircuits) {
     auto spec = quick_spec(name, width);
     spec.max_points = 10;  // multiple injection points across the circuit
 
-    spec.use_checkpoints = true;
     const auto checkpointed = run_single_fault_campaign(spec);
-    spec.use_checkpoints = false;
-    const auto resimulated = run_single_fault_campaign(spec);
+    const auto resimulated = run_on_oracle(spec, run_single_fault_campaign);
 
     SCOPED_TRACE(name);
     expect_campaigns_match(checkpointed, resimulated, 1e-9);
@@ -311,10 +310,8 @@ TEST(CheckpointEquivalence, GhzCampaignMatches) {
   spec.threads = 16;
   spec.max_points = 8;
 
-  spec.use_checkpoints = true;
   const auto checkpointed = run_single_fault_campaign(spec);
-  spec.use_checkpoints = false;
-  const auto resimulated = run_single_fault_campaign(spec);
+  const auto resimulated = run_on_oracle(spec, run_single_fault_campaign);
   expect_campaigns_match(checkpointed, resimulated, 1e-9);
 }
 
@@ -325,10 +322,8 @@ TEST(CheckpointEquivalence, DoubleFaultCampaignsMatch) {
   spec.grid.phi_max_deg = 180.0;
   spec.max_points = 6;
 
-  spec.use_checkpoints = true;
   const auto checkpointed = run_double_fault_campaign(spec);
-  spec.use_checkpoints = false;
-  const auto resimulated = run_double_fault_campaign(spec);
+  const auto resimulated = run_on_oracle(spec, run_double_fault_campaign);
 
   ASSERT_EQ(checkpointed.records.size(), resimulated.records.size());
   for (std::size_t i = 0; i < checkpointed.records.size(); ++i) {
@@ -341,10 +336,9 @@ TEST(CheckpointEquivalence, DoubleFaultCampaignsMatch) {
 }
 
 TEST(CheckpointEquivalence, IdleNoiseCampaignsMatchOnPaperCircuits) {
-  // The re-admission acceptance property: idle-noise campaigns with the
-  // full checkpoint/batch/tree engine must match the --no-checkpoint
-  // re-simulation reference (the mode's prior permanent baseline) within
-  // the 1e-9 QVF bound, on more than one paper circuit.
+  // The re-admission acceptance property: idle-noise campaigns through the
+  // snapshot/batch/tree executor must match the full re-simulation oracle
+  // within the 1e-9 QVF bound, on more than one paper circuit.
   const std::pair<const char*, int> circuits[] = {
       {"bv", 4}, {"dj", 3}, {"qft", 3}};
   for (const auto& [name, width] : circuits) {
@@ -352,12 +346,8 @@ TEST(CheckpointEquivalence, IdleNoiseCampaignsMatchOnPaperCircuits) {
     spec.max_points = 10;
     spec.idle_noise = true;
 
-    spec.use_checkpoints = true;
-    spec.use_batch = true;
-    spec.use_tree = true;
     const auto engine = run_single_fault_campaign(spec);
-    spec.use_checkpoints = false;
-    const auto resimulated = run_single_fault_campaign(spec);
+    const auto resimulated = run_on_oracle(spec, run_single_fault_campaign);
 
     SCOPED_TRACE(name);
     EXPECT_TRUE(engine.meta.idle_noise);
@@ -373,10 +363,8 @@ TEST(CheckpointEquivalence, IdleNoiseDoubleFaultCampaignMatches) {
   spec.max_points = 6;
   spec.idle_noise = true;
 
-  spec.use_checkpoints = true;
   const auto engine = run_double_fault_campaign(spec);
-  spec.use_checkpoints = false;
-  const auto resimulated = run_double_fault_campaign(spec);
+  const auto resimulated = run_on_oracle(spec, run_double_fault_campaign);
 
   ASSERT_EQ(engine.records.size(), resimulated.records.size());
   for (std::size_t i = 0; i < engine.records.size(); ++i) {
@@ -390,20 +378,19 @@ TEST(CheckpointEquivalence, IdleNoiseDoubleFaultCampaignMatches) {
 }
 
 TEST(CheckpointEquivalence, IdleNoiseTreeMatchesFlatEngine) {
-  // Tree engine (snapshot chains + response basis) vs the flat batch
-  // engine, both under idle noise: re-admission covers the whole pipeline,
-  // not just the first checkpointing rung.
+  // Snapshot chains plus the moment-aware response basis (a 30-degree
+  // grid puts 84 configs in each point's batch, above the 1q response
+  // threshold) vs the oracle, under idle noise: re-admission covers the
+  // whole pipeline, not just the snapshot rung.
   auto spec = quick_spec("bv", 4);
+  spec.grid.theta_step_deg = 30.0;
+  spec.grid.phi_step_deg = 30.0;
   spec.max_points = 10;
   spec.idle_noise = true;
-  spec.use_checkpoints = true;
-  spec.use_batch = true;
 
-  spec.use_tree = true;
   const auto tree = run_single_fault_campaign(spec);
-  spec.use_tree = false;
-  const auto flat = run_single_fault_campaign(spec);
-  expect_campaigns_match(tree, flat, 1e-9);
+  const auto oracle = run_on_oracle(spec, run_single_fault_campaign);
+  expect_campaigns_match(tree, oracle, 1e-9);
 }
 
 TEST(CheckpointEquivalence, SampledCampaignsMatchBitExactly) {
@@ -413,10 +400,8 @@ TEST(CheckpointEquivalence, SampledCampaignsMatchBitExactly) {
   spec.shots = 128;
   spec.max_points = 5;
 
-  spec.use_checkpoints = true;
   const auto checkpointed = run_single_fault_campaign(spec);
-  spec.use_checkpoints = false;
-  const auto resimulated = run_single_fault_campaign(spec);
+  const auto resimulated = run_on_oracle(spec, run_single_fault_campaign);
   expect_campaigns_match(checkpointed, resimulated, 1e-12);
 }
 
@@ -424,11 +409,12 @@ TEST(CheckpointEquivalence, NamedFaultCampaignMatches) {
   auto spec = quick_spec("bv", 4);
   spec.max_points = 6;
   const auto faults = gate_equivalent_faults();
+  const auto named = [&](const CampaignSpec& s) {
+    return run_named_fault_campaign(s, faults);
+  };
 
-  spec.use_checkpoints = true;
-  const auto checkpointed = run_named_fault_campaign(spec, faults);
-  spec.use_checkpoints = false;
-  const auto resimulated = run_named_fault_campaign(spec, faults);
+  const auto checkpointed = named(spec);
+  const auto resimulated = run_on_oracle(spec, named);
 
   ASSERT_EQ(checkpointed.size(), resimulated.size());
   for (std::size_t f = 0; f < checkpointed.size(); ++f) {
@@ -529,21 +515,24 @@ TEST(BatchApi, BaseFallbackLoopsRunSuffix) {
   }
 }
 
+// The batch tests below submit several chunks per point (15-degree grid:
+// 312 configs per point, chunks of at least 64) so batch boundaries,
+// response groups and record slots are checked against the oracle.
+
 TEST(BatchEquivalence, SingleFaultCampaignsMatchOnPaperCircuits) {
   const std::pair<const char*, int> circuits[] = {
       {"bv", 4}, {"dj", 3}, {"qft", 3}};
   for (const auto& [name, width] : circuits) {
     auto spec = quick_spec(name, width);
-    spec.max_points = 10;
-    spec.use_checkpoints = true;
+    spec.grid.theta_step_deg = 15.0;
+    spec.grid.phi_step_deg = 15.0;
+    spec.max_points = 3;
 
-    spec.use_batch = true;
     const auto batched = run_single_fault_campaign(spec);
-    spec.use_batch = false;
-    const auto sequential = run_single_fault_campaign(spec);
+    const auto oracle = run_on_oracle(spec, run_single_fault_campaign);
 
     SCOPED_TRACE(name);
-    expect_campaigns_match(batched, sequential, 1e-9);
+    expect_campaigns_match(batched, oracle, 1e-9);
   }
 }
 
@@ -552,19 +541,16 @@ TEST(BatchEquivalence, GhzCampaignMatchesAcrossChunkedLanes) {
   CampaignSpec spec;
   spec.circuit = bench.circuit;
   spec.expected_outputs = bench.expected_outputs;
-  spec.grid.theta_step_deg = 60.0;
-  spec.grid.phi_step_deg = 90.0;
-  // More workers than points exercises the chunked-batch path (each chunk
-  // is its own run_suffix_batch submission against a shared snapshot).
+  spec.grid.theta_step_deg = 15.0;
+  spec.grid.phi_step_deg = 15.0;
+  // More workers than points: each point's chunks fan out across lanes as
+  // separate run_suffix_batch submissions against one shared snapshot.
   spec.threads = 16;
-  spec.max_points = 8;
-  spec.use_checkpoints = true;
+  spec.max_points = 4;
 
-  spec.use_batch = true;
   const auto batched = run_single_fault_campaign(spec);
-  spec.use_batch = false;
-  const auto sequential = run_single_fault_campaign(spec);
-  expect_campaigns_match(batched, sequential, 1e-9);
+  const auto oracle = run_on_oracle(spec, run_single_fault_campaign);
+  expect_campaigns_match(batched, oracle, 1e-9);
 }
 
 TEST(BatchEquivalence, DoubleFaultCampaignsMatch) {
@@ -573,55 +559,56 @@ TEST(BatchEquivalence, DoubleFaultCampaignsMatch) {
   spec.grid.phi_step_deg = 90.0;
   spec.grid.phi_max_deg = 180.0;
   spec.max_points = 6;
-  spec.use_checkpoints = true;
+  spec.threads = 16;  // fewer points than lanes: fanned-out chunks
 
-  spec.use_batch = true;
   const auto batched = run_double_fault_campaign(spec);
-  spec.use_batch = false;
-  const auto sequential = run_double_fault_campaign(spec);
+  const auto oracle = run_on_oracle(spec, run_double_fault_campaign);
 
-  ASSERT_EQ(batched.records.size(), sequential.records.size());
+  ASSERT_EQ(batched.records.size(), oracle.records.size());
   for (std::size_t i = 0; i < batched.records.size(); ++i) {
     EXPECT_EQ(batched.records[i].neighbor_qubit,
-              sequential.records[i].neighbor_qubit);
+              oracle.records[i].neighbor_qubit);
     EXPECT_EQ(batched.records[i].theta1_index,
-              sequential.records[i].theta1_index);
-    EXPECT_EQ(batched.records[i].phi1_index,
-              sequential.records[i].phi1_index);
-    EXPECT_NEAR(batched.records[i].qvf, sequential.records[i].qvf, 1e-9)
+              oracle.records[i].theta1_index);
+    EXPECT_EQ(batched.records[i].phi1_index, oracle.records[i].phi1_index);
+    EXPECT_NEAR(batched.records[i].qvf, oracle.records[i].qvf, 1e-9)
         << "record " << i;
   }
 }
 
 TEST(BatchEquivalence, SampledCampaignsMatch) {
   // Per-config seeds are carried inside the batch, so the sampling streams
-  // match the per-config path regardless of submission granularity.
+  // match the oracle's regardless of batch composition — here with every
+  // point's 312 configs on the response path.
   auto spec = quick_spec("bv", 4);
+  spec.grid.theta_step_deg = 15.0;
+  spec.grid.phi_step_deg = 15.0;
   spec.shots = 128;
-  spec.max_points = 5;
-  spec.use_checkpoints = true;
+  spec.max_points = 3;
 
-  spec.use_batch = true;
   const auto batched = run_single_fault_campaign(spec);
-  spec.use_batch = false;
-  const auto sequential = run_single_fault_campaign(spec);
-  expect_campaigns_match(batched, sequential, 1e-9);
+  const auto oracle = run_on_oracle(spec, run_single_fault_campaign);
+  expect_campaigns_match(batched, oracle, 1e-9);
 }
 
 TEST(BatchEquivalence, NamedFaultCampaignMatches) {
+  // Named faults under idle noise: one small (replay-path) batch per point
+  // from moment-aware snapshots derived along the chains.
   auto spec = quick_spec("bv", 4);
   spec.max_points = 6;
+  spec.idle_noise = true;
   const auto faults = gate_equivalent_faults();
+  const auto named = [&](const CampaignSpec& s) {
+    return run_named_fault_campaign(s, faults);
+  };
 
-  spec.use_batch = true;
-  const auto batched = run_named_fault_campaign(spec, faults);
-  spec.use_batch = false;
-  const auto sequential = run_named_fault_campaign(spec, faults);
+  const auto batched = named(spec);
+  const auto oracle = run_on_oracle(spec, named);
 
-  ASSERT_EQ(batched.size(), sequential.size());
+  ASSERT_EQ(batched.size(), oracle.size());
   for (std::size_t f = 0; f < batched.size(); ++f) {
-    EXPECT_EQ(batched[f].fault_name, sequential[f].fault_name);
-    EXPECT_NEAR(batched[f].mean_qvf, sequential[f].mean_qvf, 1e-9);
+    EXPECT_EQ(batched[f].fault_name, oracle[f].fault_name);
+    EXPECT_NEAR(batched[f].mean_qvf, oracle[f].mean_qvf, 1e-9);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,9 @@
 #include "service/clock.hpp"
 #include "service/dispatcher.hpp"
 #include "service/fleet.hpp"
+#include "service/submission.hpp"
+#include "sim/density_matrix.hpp"
+#include "sim/statevector.hpp"
 #include "util/error.hpp"
 
 namespace qufi {
@@ -120,6 +124,86 @@ TEST(Dispatcher, SubmitRejectsBadJobs) {
   empty_job.name = "empty";
   empty_job.csv_path = dir.str("d.csv");
   EXPECT_THROW(dispatcher.submit(empty_job), Error);
+}
+
+// ---- spool intake -----------------------------------------------------------
+
+service::CampaignRequest spool_request(const TempDir& dir,
+                                       const std::string& name) {
+  service::CampaignRequest request;
+  request.name = name;
+  request.theta_step = 60.0;
+  request.phi_step = 90.0;
+  request.csv_path = dir.str(name + ".csv");
+  return request;
+}
+
+TEST(Submission, WidthAboveTheWorkerBackendLimitIsRejectedBeforePlanning) {
+  TempDir dir("width");
+  // Rejected before the circuit or device is built: a 2e8-qubit QFT would
+  // exhaust memory while being constructed.
+  auto request = spool_request(dir, "huge");
+  request.circuit = "qft";
+  request.device = "linear";
+  request.width = 200000000;
+  EXPECT_THROW((void)service::plan_submission(request), Error);
+
+  // Each worker family's own limit: a width its simulator cannot hold
+  // would fail every shard attempt.
+  request.device = "full";
+  request.width = sim::DensityMatrix::kMaxQubits + 1;
+  EXPECT_THROW((void)service::plan_submission(request), Error);
+  request.backend_kind = "trajectory";
+  request.shots = 64;
+  request.width = sim::Statevector::kMaxQubits + 1;
+  EXPECT_THROW((void)service::plan_submission(request), Error);
+  request.width = 0;
+  EXPECT_THROW((void)service::plan_submission(request), Error);
+
+  request.backend_kind = "density";
+  request.shots = 0;
+  request.width = 4;
+  EXPECT_FALSE(service::plan_submission(request).manifests.empty());
+}
+
+TEST(Submission, ScanSpoolRejectsAFileOnAnyExceptionAndKeepsDraining) {
+  TempDir dir("spool");
+  const std::string spool = dir.str("spool");
+  fs::create_directories(spool);
+  auto hostile = spool_request(dir, "b_hostile");
+  hostile.circuit = "qft";
+  hostile.device = "linear";
+  hostile.width = 200000000;
+  service::save_submission(spool_request(dir, "a_ok"),
+                           spool + "/a.submission");
+  service::save_submission(hostile, spool + "/b.submission");
+  service::save_submission(spool_request(dir, "c_oom"),
+                           spool + "/c.submission");
+  service::save_submission(spool_request(dir, "d_ok"),
+                           spool + "/d.submission");
+
+  // Submitting c fails with something other than qufi::Error.
+  std::vector<std::string> submitted;
+  const auto outcomes =
+      service::scan_spool(spool, [&](service::CampaignJob job) {
+        if (job.name == "c_oom") throw std::bad_alloc();
+        submitted.push_back(job.name);
+      });
+
+  ASSERT_EQ(outcomes.size(), 4u);
+  EXPECT_TRUE(outcomes[0].accepted);
+  EXPECT_FALSE(outcomes[1].accepted);
+  EXPECT_NE(outcomes[1].error.find("width"), std::string::npos);
+  EXPECT_FALSE(outcomes[2].accepted);
+  EXPECT_TRUE(outcomes[3].accepted);
+  EXPECT_EQ(submitted, (std::vector<std::string>{"a_ok", "d_ok"}));
+  EXPECT_TRUE(fs::exists(spool + "/a.submission.accepted"));
+  EXPECT_TRUE(fs::exists(spool + "/b.submission.rejected"));
+  EXPECT_TRUE(fs::exists(spool + "/c.submission.rejected"));
+  EXPECT_TRUE(fs::exists(spool + "/d.submission.accepted"));
+  // Nothing is left pending, so a rescan admits nothing twice.
+  EXPECT_TRUE(
+      service::scan_spool(spool, [](service::CampaignJob) {}).empty());
 }
 
 TEST(Dispatcher, AcquireOrdersByPriorityThenSubmission) {

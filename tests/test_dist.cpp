@@ -23,6 +23,7 @@
 #include "dist/snapshot_cache.hpp"
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
+#include "service/submission.hpp"
 #include "util/compress.hpp"
 #include "util/error.hpp"
 
@@ -554,44 +555,95 @@ TEST(ShardPlan, TreeCostChargesExtensionNotFullPrefix) {
   EXPECT_EQ(dist::tree_point_cost(deeper, 30, 20), 1u + 5 + 5);
 }
 
-TEST(ShardManifest, UseTreeKnobRoundTripsAndV1FilesStillLoad) {
-  TempDir dir("manifest_tree");
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+}
+
+/// `text` with `lines` inserted right after its first line (the header).
+std::string after_header(std::string text, const std::string& lines) {
+  return text.insert(text.find('\n') + 1, lines);
+}
+
+TEST(ShardManifest, RetiredEngineKeysRunIdenticallyAndV1FilesStillLoad) {
+  // The retired engine-mode keys (campaigns have one executor) still load
+  // but change nothing: a v4 manifest that carries all three switched off
+  // runs byte-identical records to the same manifest without them, on a
+  // grid large enough that the old flat engine would have diverged from
+  // the response path.
+  TempDir dir("manifest_retired");
   auto spec = quick_spec("bv", 4);
-  spec.use_tree = false;
+  spec.grid.theta_step_deg = 30.0;
+  spec.grid.phi_step_deg = 30.0;
+  spec.max_points = 3;
   const auto plan = dist::plan_campaign_shards(spec, 1);
   const auto manifests = dist::make_manifests(
       spec, "casablanca", dist::WorkerBackendKind::Density, plan, false);
-  const auto path = (dir.path / "tree.manifest").string();
+  const auto path = (dir.path / "current.manifest").string();
   dist::save_manifest(manifests[0], path);
-  const auto loaded = dist::load_manifest(path);
-  EXPECT_FALSE(loaded.use_tree);
-  EXPECT_FALSE(dist::manifest_to_spec(loaded).use_tree);
+  const std::string text = read_text(path);
+  EXPECT_EQ(text.find("use_"), std::string::npos);  // writers omit them
 
-  // A v1 file (no use_tree key) still loads, defaulting the knob on.
-  std::string text;
-  {
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
-  }
-  const auto header = text.find("qufi-shard-manifest 4");
-  ASSERT_NE(header, std::string::npos);
-  text.replace(header, 21, "qufi-shard-manifest 1");
-  const auto tree_line = text.find("use_tree 0\n");
-  ASSERT_NE(tree_line, std::string::npos);
-  text.erase(tree_line, 11);
-  const auto idle_line = text.find("idle_noise 0\n");
+  const auto retired_path = (dir.path / "retired.manifest").string();
+  write_text(retired_path,
+             after_header(text, "use_checkpoints 0\nuse_batch 0\n"
+                                "use_tree 0\n"));
+  dist::ShardRunOptions options;
+  options.threads = 2;
+  const dist::PartialResult current[] = {
+      dist::run_shard(dist::load_manifest(path), options).partial};
+  const dist::PartialResult retired[] = {
+      dist::run_shard(dist::load_manifest(retired_path), options).partial};
+  ASSERT_FALSE(current[0].records.empty());
+  expect_same_records(dist::merge_partial_results(retired),
+                      dist::merge_partial_results(current));
+
+  // A v1 file (no idle_noise key) still loads, with the v3 knob off.
+  std::string v1 = text;
+  v1.replace(v1.find("qufi-shard-manifest 4"), 21, "qufi-shard-manifest 1");
+  const auto idle_line = v1.find("idle_noise 0\n");
   ASSERT_NE(idle_line, std::string::npos);
-  text.erase(idle_line, 13);
+  v1.erase(idle_line, 13);
   const auto v1_path = (dir.path / "v1.manifest").string();
-  {
-    std::ofstream out(v1_path);
-    out << text;
-  }
-  const auto v1 = dist::load_manifest(v1_path);
-  EXPECT_EQ(v1.format_version, 1u);
-  EXPECT_TRUE(v1.use_tree);
+  write_text(v1_path, after_header(v1, "use_tree 1\n"));
+  const auto loaded = dist::load_manifest(v1_path);
+  EXPECT_EQ(loaded.format_version, 1u);
+  EXPECT_FALSE(loaded.idle_noise);
+}
+
+TEST(ShardManifest, MalformedRetiredEngineKeyIsRejected) {
+  TempDir dir("manifest_retired_bad");
+  const auto spec = quick_spec("bv", 4);
+  const auto manifests = dist::make_manifests(
+      spec, "casablanca", dist::WorkerBackendKind::Density,
+      dist::plan_campaign_shards(spec, 1), false);
+  const auto path = (dir.path / "bad.manifest").string();
+  dist::save_manifest(manifests[0], path);
+  write_text(path, after_header(read_text(path), "use_tree x\n"));
+  EXPECT_THROW((void)dist::load_manifest(path), Error);
+}
+
+TEST(Submission, RetiredEngineKeyStillLoads) {
+  TempDir dir("submission_retired");
+  service::CampaignRequest request;
+  request.name = "bv4";
+  request.csv_path = (dir.path / "bv4.csv").string();
+  const auto path = (dir.path / "bv4.submission").string();
+  service::save_submission(request, path);
+  write_text(path, after_header(read_text(path), "use_tree 0\n"));
+  const auto loaded = service::load_submission(path);
+  EXPECT_EQ(loaded.name, request.name);
+  EXPECT_EQ(loaded.csv_path, request.csv_path);
+
+  write_text(path, after_header(read_text(path), "use_tree x\n"));
+  EXPECT_THROW((void)service::load_submission(path), Error);
 }
 
 TEST(SnapshotCache, ExtendSharesTheCanonicalKeySpace) {
@@ -631,7 +683,6 @@ TEST(ShardMerge, TreePlannedDoubleFaultShardsMatchSingleProcess) {
   spec.grid.phi_step_deg = 90.0;
   spec.grid.phi_max_deg = 180.0;
   spec.max_points = 4;
-  spec.use_tree = true;
 
   const auto single = run_double_fault_campaign(spec);
   const auto plan = dist::plan_campaign_shards(spec, 3,

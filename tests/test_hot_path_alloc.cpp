@@ -203,8 +203,10 @@ TEST(HotPathAlloc, TwoQubitResponseGroupAllocatesOnlyTheResult) {
 
 TEST(HotPathAlloc, ReplayPathAllocatesOnlyTheResult) {
   HotPath h;
-  h.backend.set_suffix_response_enabled(false);
-  h.expect_alloc_invariant(false, 16, 48);
+  // Below kResponseMinConfigs1q / 2q: every config replays the suffix.
+  static_assert(24 < backend::DensityMatrixBackend::kResponseMinConfigs1q);
+  static_assert(48 < backend::DensityMatrixBackend::kResponseMinConfigs2q);
+  h.expect_alloc_invariant(false, 8, 24);
   h.expect_alloc_invariant(true, 16, 48);
 }
 
@@ -214,7 +216,8 @@ TEST(HotPathAlloc, IdleNoiseBatchesAllocateOnlyTheResult) {
   HotPath h(true);
   h.expect_alloc_invariant(false, 64, 128);
   h.expect_alloc_invariant(true, 512, 1024);
-  h.backend.set_suffix_response_enabled(false);
+  // Replay path (below the response thresholds).
+  h.expect_alloc_invariant(false, 8, 24);
   h.expect_alloc_invariant(true, 16, 48);
 }
 

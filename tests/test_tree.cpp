@@ -1,8 +1,9 @@
 // Prefix-tree engine tests: the snapshot-tree planner, extend_snapshot on
 // both checkpointing backends (parent-vs-from-scratch bit equivalence,
 // chain hops, serialized derived snapshots), the density suffix-response
-// batch path, and tree-vs-flat campaign parity (single and double fault,
-// including points with no coupled active neighbor).
+// batch path, and campaign parity against the full re-simulation oracle
+// (single, double and named faults, including points with no coupled
+// active neighbor).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "noise/backend_props.hpp"
 #include "noise/noise_model.hpp"
 #include "util/error.hpp"
+#include "oracle_backend.hpp"
 
 namespace qufi {
 namespace {
@@ -272,7 +274,6 @@ TEST(SuffixResponse, LargeSingleQubitBatchMatchesSequentialRunSuffix) {
       transpiled, InjectionStrategy::OperandsAfterEachGate);
   backend::DensityMatrixBackend backend(
       noise::NoiseModel::from_backend(spec.backend, 1.0));
-  ASSERT_TRUE(backend.suffix_response_enabled());
   const InjectionPoint& point = points[points.size() / 2];
   const auto snapshot =
       backend.prepare_prefix(transpiled.circuit, point.split_index());
@@ -334,11 +335,10 @@ TEST(SuffixResponse, LargeTwoQubitBatchMatchesSequentialRunSuffix) {
   }
 }
 
-TEST(SuffixResponse, DisabledBackendKeepsTheReplayPath) {
-  // With the flag off (the --no-tree engine), large batches must keep the
-  // PR 2 fused-replay semantics: within 1e-12 of per-config run_suffix
-  // (the fused superops were never bit-equal to the two-pass execute),
-  // matching the pre-existing BatchApi contract.
+TEST(SuffixResponse, SmallBatchKeepsTheReplayPath) {
+  // Below kResponseMinConfigs1q a batch takes the fused-replay path: within
+  // 1e-12 of per-config run_suffix (the fused superops were never bit-equal
+  // to the two-pass execute), matching the BatchApi contract.
   auto spec = quick_spec("dj", 3);
   spec.grid.theta_step_deg = 30.0;
   spec.grid.phi_step_deg = 30.0;
@@ -347,18 +347,21 @@ TEST(SuffixResponse, DisabledBackendKeepsTheReplayPath) {
       transpiled, InjectionStrategy::OperandsAfterEachGate);
   backend::DensityMatrixBackend backend(
       noise::NoiseModel::from_backend(spec.backend, 1.0));
-  backend.set_suffix_response_enabled(false);
   const InjectionPoint& point = points.front();
   const auto snapshot =
       backend.prepare_prefix(transpiled.circuit, point.split_index());
 
   std::vector<backend::SuffixConfig> configs;
   for (const auto& fault : spec.grid.enumerate()) {
+    if (configs.size() + 1 ==
+        backend::DensityMatrixBackend::kResponseMinConfigs1q) {
+      break;
+    }
     configs.push_back(backend::SuffixConfig{
         {fault.as_instruction(point.qubit)}, configs.size()});
   }
   const auto batched = backend.run_suffix_batch(*snapshot, configs, 0);
-  for (std::size_t c = 0; c < configs.size(); c += 11) {
+  for (std::size_t c = 0; c < configs.size(); c += 5) {
     const auto sequential = backend.run_suffix(
         *snapshot, configs[c].injected, 0, configs[c].seed);
     ASSERT_EQ(batched[c].probabilities.size(),
@@ -371,7 +374,7 @@ TEST(SuffixResponse, DisabledBackendKeepsTheReplayPath) {
   }
 }
 
-// ---- tree-vs-flat campaign parity (the acceptance property) ----------------
+// ---- campaign parity with the oracle (the acceptance property) -------------
 
 void expect_campaigns_match(const CampaignResult& a, const CampaignResult& b,
                             double tol) {
@@ -399,13 +402,11 @@ TEST(TreeEquivalence, SingleFaultCampaignsMatchOnPaperCircuits) {
     spec.grid.phi_step_deg = 30.0;
     spec.max_points = 6;
 
-    spec.use_tree = true;
     const auto tree = run_single_fault_campaign(spec);
-    spec.use_tree = false;
-    const auto flat = run_single_fault_campaign(spec);
+    const auto oracle = run_on_oracle(spec, run_single_fault_campaign);
 
     SCOPED_TRACE(name);
-    expect_campaigns_match(tree, flat, 1e-9);
+    expect_campaigns_match(tree, oracle, 1e-9);
   }
 }
 
@@ -415,11 +416,9 @@ TEST(TreeEquivalence, DoubleFaultCampaignsMatchWithResponseActive) {
   spec.grid.phi_step_deg = 45.0;    // above the 2q response threshold
   spec.max_points = 3;
 
-  spec.use_tree = true;
   const auto tree = run_double_fault_campaign(spec);
-  spec.use_tree = false;
-  const auto flat = run_double_fault_campaign(spec);
-  expect_campaigns_match(tree, flat, 1e-9);
+  const auto oracle = run_on_oracle(spec, run_double_fault_campaign);
+  expect_campaigns_match(tree, oracle, 1e-9);
 }
 
 TEST(TreeEquivalence, ChunkedLanesAndSampledCampaignsMatch) {
@@ -433,11 +432,9 @@ TEST(TreeEquivalence, ChunkedLanesAndSampledCampaignsMatch) {
   spec.max_points = 8;
   spec.shots = 128;
 
-  spec.use_tree = true;
   const auto tree = run_single_fault_campaign(spec);
-  spec.use_tree = false;
-  const auto flat = run_single_fault_campaign(spec);
-  expect_campaigns_match(tree, flat, 1e-9);
+  const auto oracle = run_on_oracle(spec, run_single_fault_campaign);
+  expect_campaigns_match(tree, oracle, 1e-9);
 }
 
 TEST(TreeEquivalence, DoubleFaultSubsetsUnionToTheFullRun) {
@@ -448,7 +445,6 @@ TEST(TreeEquivalence, DoubleFaultSubsetsUnionToTheFullRun) {
   spec.grid.phi_step_deg = 90.0;
   spec.grid.phi_max_deg = 180.0;
   spec.max_points = 6;
-  spec.use_tree = true;
 
   const auto full = run_double_fault_campaign(spec);
   const std::size_t evens[] = {0, 2, 4};
@@ -485,7 +481,6 @@ TEST(TreeEquivalence, EmptyNeighborPointsYieldNoRecordsAndNoCrash) {
   spec.grid.theta_step_deg = 90.0;
   spec.grid.phi_step_deg = 90.0;
   spec.threads = 2;
-  spec.use_tree = true;
 
   const auto points = campaign_points(spec);
   ASSERT_FALSE(points.empty());
@@ -499,17 +494,25 @@ TEST(TreeEquivalence, EmptyNeighborPointsYieldNoRecordsAndNoCrash) {
 }
 
 TEST(TreeEquivalence, NamedAndNoBatchEnginesStillMatch) {
-  // --no-batch + tree: chains without the batched sweep (run_suffix per
-  // config) must still match the flat engine.
+  // Named faults walk the same chains (one lane: every snapshot after the
+  // first is extended from its predecessor) with one batch per point; the
+  // oracle runs each fault as a full re-simulation.
   auto spec = quick_spec("bv", 4);
   spec.max_points = 5;
-  spec.use_batch = false;
+  spec.threads = 1;
+  const auto faults = gate_equivalent_faults();
+  const auto named = [&](const CampaignSpec& s) {
+    return run_named_fault_campaign(s, faults);
+  };
 
-  spec.use_tree = true;
-  const auto tree = run_single_fault_campaign(spec);
-  spec.use_tree = false;
-  const auto flat = run_single_fault_campaign(spec);
-  expect_campaigns_match(tree, flat, 1e-9);
+  const auto tree = named(spec);
+  const auto oracle = run_on_oracle(spec, named);
+  ASSERT_EQ(tree.size(), oracle.size());
+  for (std::size_t f = 0; f < tree.size(); ++f) {
+    EXPECT_EQ(tree[f].fault_name, oracle[f].fault_name);
+    EXPECT_EQ(tree[f].executions, oracle[f].executions);
+    EXPECT_NEAR(tree[f].mean_qvf, oracle[f].mean_qvf, 1e-9);
+  }
 }
 
 }  // namespace
