@@ -5,9 +5,10 @@
 #
 # Opt-in legs:
 #   CHECK_SANITIZE=1  rebuild the kernel-facing suites, the adaptive
-#                     estimation, dispatcher and campaign-executor suites
-#                     under ASan+UBSan in build-asan/ and run them (the leg
-#                     .github/workflows/ci.yml runs on every push).
+#                     estimation, dispatcher, campaign-executor and
+#                     golden-CSV suites under ASan+UBSan in build-asan/
+#                     and run them (the leg .github/workflows/ci.yml runs
+#                     on every push).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -383,24 +384,25 @@ fi
 
 # ---- opt-in sanitizer pass ---------------------------------------------------
 # CHECK_SANITIZE=1 rebuilds the kernel-facing tests, the adaptive
-# estimation suite, the dispatcher/journal suite, and the campaign
-# executor's suites under ASan+UBSan in a separate build tree and runs
-# them, so the vectorized pointer arithmetic, the estimator's cell
-# bookkeeping, the journal's recovery/truncation paths, and the executor's
-# shared snapshots and per-point emission atomics are exercised with
+# estimation suite, the dispatcher/journal suite, the campaign executor's
+# suites and the golden CSVs under ASan+UBSan in a separate build tree and
+# runs them, so the vectorized pointer arithmetic, the estimator's cell
+# bookkeeping, the journal's recovery/truncation paths, the executor's
+# shared snapshots and per-point emission atomics, and the double-fault
+# response path's raw-indexed slot-channel cache are exercised with
 # checking on before merge.
 if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
   configure -B build-asan -S . -DQUFI_SANITIZE=ON -DQUFI_BUILD_BENCHES=OFF \
     -DQUFI_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j --target test_kernels test_sim test_adaptive \
-    test_dispatcher test_tree test_checkpoint test_campaign
+    test_dispatcher test_tree test_checkpoint test_campaign test_golden_csv
   for t in test_kernels test_sim test_adaptive test_dispatcher test_tree \
-    test_checkpoint test_campaign; do
+    test_checkpoint test_campaign test_golden_csv; do
     ./build-asan/$t > /dev/null
   done
   # The vectorized sets must survive sanitized runs too, not just the default.
   for kset in $(./build/perf_simulator --list-kernels); do
     QUFI_KERNELS="$kset" ./build-asan/test_kernels > /dev/null
   done
-  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_campaign under ASan+UBSan)"
+  echo "sanitizer pass OK (test_kernels + test_sim + test_adaptive + test_dispatcher + test_tree + test_checkpoint + test_campaign + test_golden_csv under ASan+UBSan)"
 fi

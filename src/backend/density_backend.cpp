@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <complex>
 #include <map>
 #include <memory>
@@ -472,17 +473,17 @@ void replay_suffix(sim::DensityMatrix& dm, std::span<const BakedOp> ops) {
   for (const auto& op : ops) apply_baked_op(dm, op);
 }
 
-/// Complex analogue of resolve_probs for the response basis: basis matrices
-/// are not Hermitian, so their diagonals (and hence their "probabilities")
-/// are complex; the imaginary parts cancel when configs recombine them.
-/// The readout confusion map is real-linear, so it applies to the real and
-/// imaginary parts independently.
-std::vector<std::complex<double>> resolve_probs_complex(
-    const sim::DensityMatrix& dm, const MeasurementResolver& res) {
+/// Split-real analogue of resolve_probs for the response basis: basis
+/// matrices are not Hermitian, so their diagonals (and hence their
+/// "probabilities") are complex. The real and imaginary parts accumulate
+/// into `re` and `im` (num_outcomes each, zero on entry) exactly as a
+/// complex sum would. The readout confusion map is real-linear, so it
+/// applies to each part independently.
+void resolve_probs_split(const sim::DensityMatrix& dm,
+                         const MeasurementResolver& res,
+                         std::vector<double>& re, std::vector<double>& im) {
   const std::uint64_t dim = dm.dim();
   const auto raw = dm.raw();
-  const std::size_t num_outcomes = std::size_t{1} << res.num_clbits;
-  std::vector<std::complex<double>> clbit_probs(num_outcomes, 0.0);
   for (std::uint64_t i = 0; i < dim; ++i) {
     const sim::cplx diag = raw[i * dim + i];
     if (diag == sim::cplx{}) continue;
@@ -491,21 +492,13 @@ std::vector<std::complex<double>> resolve_probs_complex(
       const int q = res.clbit_source_compact[static_cast<std::size_t>(c)];
       if (q >= 0 && ((i >> q) & 1ULL)) j |= 1ULL << c;
     }
-    clbit_probs[j] += diag;
+    re[j] += diag.real();
+    im[j] += diag.imag();
   }
   if (res.apply_readout) {
-    std::vector<double> re(num_outcomes), im(num_outcomes);
-    for (std::size_t o = 0; o < num_outcomes; ++o) {
-      re[o] = clbit_probs[o].real();
-      im[o] = clbit_probs[o].imag();
-    }
     noise::apply_readout_error(re, res.measured_clbits, res.readout_errors);
     noise::apply_readout_error(im, res.measured_clbits, res.readout_errors);
-    for (std::size_t o = 0; o < num_outcomes; ++o) {
-      clbit_probs[o] = {re[o], im[o]};
-    }
   }
-  return clbit_probs;
 }
 
 /// The suffix pipeline of a snapshot, compiled into a linear-response basis
@@ -525,8 +518,10 @@ std::vector<std::complex<double>> resolve_probs_complex(
 /// with their noise channels). Precomputing the m^4 responses L(B) per
 /// snapshot turns each config into a 4^k-qubit channel build plus one
 /// m^4 x 2^nc weighted sum — replacing a full suffix replay. The responses
-/// are complex (the basis matrices are not Hermitian); imaginary parts
-/// cancel in the weighted sum.
+/// are complex (the basis matrices are not Hermitian) and stored split into
+/// real and imaginary arrays: a config's probability is the real part of
+/// its weighted sum, sum_beta (Re W_beta * re_beta - Im W_beta * im_beta),
+/// so the per-config resolve never forms the imaginary part at all.
 struct SuffixResponseBasis {
   std::vector<int> targets;  ///< compact qubit indices, ascending (size 1-2)
   /// Injection-shape key the basis was compiled for (empty when the suffix
@@ -534,8 +529,10 @@ struct SuffixResponseBasis {
   /// suffixes weave the spliced schedule's idle channels into the replayed
   /// ops, and that schedule depends on where the fault gates land.
   std::string shape;
-  /// Response vectors, indexed [((a*m + b)*m + c)*m + d] * num_outcomes + o.
-  std::vector<std::complex<double>> responses;
+  /// Real and imaginary parts of the response vectors, both indexed
+  /// [((a*m + b)*m + c)*m + d] * num_outcomes + o.
+  std::vector<double> responses_re;
+  std::vector<double> responses_im;
   std::size_t num_outcomes = 0;
 };
 
@@ -815,7 +812,9 @@ SuffixResponseBasis build_response_basis(
   SuffixResponseBasis basis;
   basis.targets.assign(targets.begin(), targets.end());
   basis.num_outcomes = std::size_t{1} << compiled.resolver.num_clbits;
-  basis.responses.resize(m * m * m * m * basis.num_outcomes);
+  basis.responses_re.resize(m * m * m * m * basis.num_outcomes);
+  basis.responses_im.resize(basis.responses_re.size());
+  std::vector<double> re(basis.num_outcomes), im(basis.num_outcomes);
   // One scratch matrix refilled in place per basis element — the m^4 loop
   // used to allocate (and zero via from_raw) a fresh dim^2 buffer each
   // iteration.
@@ -834,12 +833,13 @@ SuffixResponseBasis build_response_basis(
             }
           }
           replay_suffix(basis_dm, compiled.ops);
-          const auto response =
-              resolve_probs_complex(basis_dm, compiled.resolver);
-          const std::uint64_t beta = ((a * m + b) * m + c) * m + d;
-          std::copy(response.begin(), response.end(),
-                    basis.responses.begin() +
-                        static_cast<std::ptrdiff_t>(beta * basis.num_outcomes));
+          std::fill(re.begin(), re.end(), 0.0);
+          std::fill(im.begin(), im.end(), 0.0);
+          resolve_probs_split(basis_dm, compiled.resolver, re, im);
+          const auto at = static_cast<std::ptrdiff_t>(
+              (((a * m + b) * m + c) * m + d) * basis.num_outcomes);
+          std::copy(re.begin(), re.end(), basis.responses_re.begin() + at);
+          std::copy(im.begin(), im.end(), basis.responses_im.begin() + at);
         }
       }
     }
@@ -872,8 +872,28 @@ struct SlotGate {
   const util::Mat4* superop = nullptr;
 };
 
+/// Bitwise identity of a config's first injected gate as the slot-channel
+/// build consumes it. The parameters compare by bit pattern, so +0.0 and
+/// -0.0 are different keys: equal keys mean the evolved units are the same
+/// bits, not merely equal values.
+struct PrimaryKey {
+  static constexpr std::size_t kMaxParams = 3;  ///< U(theta, phi, lambda)
+  GateKind kind = GateKind::I;
+  int qubit = 0;  ///< physical: the noise superop is looked up by it
+  int slot = 0;
+  TargetSet targets;
+  std::size_t num_params = 0;
+  std::array<std::uint64_t, kMaxParams> params{};
+
+  bool operator==(const PrimaryKey&) const = default;
+};
+
 /// Per-batch scratch of slot_channel_weights: one tiny density matrix per
-/// target-set size, built on first use and refilled in place per unit.
+/// target-set size (built on first use, refilled in place per unit), plus
+/// the m^2 slot matrix units as evolved through the last cold config's
+/// first injected gate. Campaign grids enumerate the secondary fault
+/// innermost, so consecutive configs share that primary gate and restart
+/// from the cached units instead of re-applying it.
 class SlotScratch {
  public:
   sim::DensityMatrix& tiny(int k) {
@@ -881,6 +901,10 @@ class SlotScratch {
     if (!dm) dm.emplace(k);
     return *dm;
   }
+
+  std::optional<PrimaryKey> primary;
+  /// Unit u's m^2 entries at [u * m^2]; sized for two target qubits.
+  std::array<sim::cplx, 16 * 16> primary_units{};
 
  private:
   std::array<std::optional<sim::DensityMatrix>, 2> tiny_;
@@ -893,42 +917,66 @@ class SlotScratch {
 /// with the same kernels, so the channel semantics match execute() exactly.
 /// Each injected gate's slot, matrix and superop are resolved once per
 /// config (into arena storage, so any number of gates fits), not once per
-/// (c, d) unit.
+/// (c, d) unit. When the first injected gate matches the scratch's cached
+/// primary bit for bit, evolution starts from the cached units: the same
+/// kernel calls on the same inputs, so the weights are the same bits.
 std::span<std::complex<double>> slot_channel_weights(
     util::Arena& arena, SlotScratch& scratch,
-    std::span<const Instruction> injected, std::span<const int> targets,
+    std::span<const Instruction> injected, const TargetSet& targets,
     const std::vector<int>& to_compact, const noise::NoiseModel& nm) {
-  const int k = static_cast<int>(targets.size());
+  const int k = static_cast<int>(targets.size);
   const std::uint64_t m = std::uint64_t{1} << k;
+  const std::uint64_t entries = m * m;  // per unit; also the unit count
   const auto gates = arena.alloc<SlotGate>(injected.size());
+  const std::span<const int> slots = targets.view();
   for (std::size_t g = 0; g < injected.size(); ++g) {
-    const Instruction& instr = injected[g];
-    const int compact = to_compact[static_cast<std::size_t>(instr.qubits[0])];
-    const auto it = std::find(targets.begin(), targets.end(), compact);
-    require(it != targets.end(),
+    const int compact =
+        to_compact[static_cast<std::size_t>(injected[g].qubits[0])];
+    const auto it = std::find(slots.begin(), slots.end(), compact);
+    require(it != slots.end(),
             "slot_channel_weights: injected qubit outside the target set");
-    gates[g].slot = static_cast<int>(it - targets.begin());
+    gates[g].slot = static_cast<int>(it - slots.begin());
+  }
+
+  const Instruction& first = injected[0];
+  require(first.params.size() <= PrimaryKey::kMaxParams,
+          "slot_channel_weights: too many gate parameters");
+  PrimaryKey key{first.kind, first.qubits[0], gates[0].slot, targets,
+                 first.params.size()};
+  for (std::size_t p = 0; p < first.params.size(); ++p) {
+    key.params[p] = std::bit_cast<std::uint64_t>(first.params[p]);
+  }
+  const bool warm = scratch.primary == key;
+  for (std::size_t g = warm ? 1 : 0; g < injected.size(); ++g) {
+    const Instruction& instr = injected[g];
     gates[g].u = circ::gate_matrix1(instr.kind, instr.params);
     gates[g].superop =
         nm.is_ideal() ? nullptr : nm.superop_after_1q(instr.kind,
                                                       instr.qubits[0]);
   }
-  auto weights = arena.alloc_zeroed<std::complex<double>>(m * m * m * m);
+  if (!warm) scratch.primary = key;
+
+  auto weights = arena.alloc_zeroed<std::complex<double>>(entries * entries);
   sim::DensityMatrix& tiny = scratch.tiny(k);
   const std::span<sim::cplx> raw = tiny.mutable_raw();
-  for (std::uint64_t c = 0; c < m; ++c) {
-    for (std::uint64_t d = 0; d < m; ++d) {
+  const auto apply = [&](const SlotGate& gate) {
+    tiny.apply_unitary1(gate.u, gate.slot);
+    if (gate.superop) tiny.apply_superop1(*gate.superop, gate.slot);
+  };
+  for (std::uint64_t unit = 0; unit < entries; ++unit) {
+    sim::cplx* cached = &scratch.primary_units[unit * entries];
+    if (warm) {
+      std::copy(cached, cached + entries, raw.begin());
+    } else {
       std::fill(raw.begin(), raw.end(), sim::cplx{});
-      raw[c * m + d] = 1.0;
-      for (const SlotGate& gate : gates) {
-        tiny.apply_unitary1(gate.u, gate.slot);
-        if (gate.superop) tiny.apply_superop1(*gate.superop, gate.slot);
-      }
-      for (std::uint64_t a = 0; a < m; ++a) {
-        for (std::uint64_t b = 0; b < m; ++b) {
-          weights[((a * m + b) * m + c) * m + d] = raw[a * m + b];
-        }
-      }
+      raw[unit] = 1.0;
+      apply(gates[0]);
+      std::copy(raw.begin(), raw.end(), cached);
+    }
+    for (std::size_t g = 1; g < gates.size(); ++g) apply(gates[g]);
+    // unit = c * m + d; W index ((a*m + b)*m + c)*m + d = ab * m^2 + unit.
+    for (std::uint64_t ab = 0; ab < entries; ++ab) {
+      weights[ab * entries + unit] = raw[ab];
     }
   }
   return weights;
@@ -1403,23 +1451,29 @@ std::vector<ExecutionResult> DensityMatrixBackend::run_suffix_batch(
       const SuffixResponseBasis& basis = *group.basis;
       const auto weights =
           slot_channel_weights(arena, slot_scratch, config.injected,
-                               group.targets.view(), to_compact, noise_model_);
-      const auto acc = arena.alloc_zeroed<std::complex<double>>(
-          basis.num_outcomes);
+                               group.targets, to_compact, noise_model_);
+      // Only the real part of sum_beta W_beta * response_beta is a
+      // probability, and that real part is exactly sum_beta (wr * re - wi *
+      // im) added in the same beta order as a complex sum, so the
+      // imaginary part is never formed. The accumulators start at +0.0, so
+      // they never become -0.0, and the +-0.0 a zero weight would add
+      // changes none of them: skipping it keeps the same bits.
+      const std::size_t num_outcomes = basis.num_outcomes;
+      std::vector<double> probs(num_outcomes);
+      double* acc = probs.data();
       for (std::size_t beta = 0; beta < weights.size(); ++beta) {
-        const std::complex<double> w = weights[beta];
-        if (w == std::complex<double>{}) continue;
-        const auto* response = &basis.responses[beta * basis.num_outcomes];
-        for (std::size_t o = 0; o < basis.num_outcomes; ++o) {
-          acc[o] += w * response[o];
+        const double wr = weights[beta].real();
+        const double wi = weights[beta].imag();
+        if (wr == 0.0 && wi == 0.0) continue;
+        const double* rr = &basis.responses_re[beta * num_outcomes];
+        const double* ri = &basis.responses_im[beta * num_outcomes];
+        for (std::size_t o = 0; o < num_outcomes; ++o) {
+          acc[o] += wr * rr[o] - wi * ri[o];
         }
       }
       // Imaginary parts cancel analytically; rounding can leave a state
       // with probability ~ -1e-16, which samplers must never see.
-      std::vector<double> probs(basis.num_outcomes);
-      for (std::size_t o = 0; o < basis.num_outcomes; ++o) {
-        probs[o] = std::max(0.0, acc[o].real());
-      }
+      for (double& p : probs) p = std::max(0.0, p);
       results[c] = ExecutionResult::from_distribution(
           std::move(probs), circuit.num_clbits(), shots, config.seed,
           backend_name);

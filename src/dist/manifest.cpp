@@ -183,6 +183,9 @@ ShardManifest load_manifest(const std::string& path) {
     } else if (key == "points") {
       std::size_t p = 0;
       while (ls >> p) m.point_indices.push_back(p);
+      // Extraction stops at the end of the line or at the first token that
+      // is not a point index; only the former is a complete list.
+      if (!ls.eof()) fail("bad points line");
     } else if (key == "circuit") {
       int nq = 0, nc = 0;
       std::size_t count = 0;

@@ -630,6 +630,44 @@ TEST(ShardManifest, MalformedRetiredEngineKeyIsRejected) {
   EXPECT_THROW((void)dist::load_manifest(path), Error);
 }
 
+TEST(ShardManifest, NonNumericPointTokenIsRejected) {
+  TempDir dir("manifest_points_bad");
+  const auto spec = quick_spec("bv", 4);
+  const auto manifests = dist::make_manifests(
+      spec, "casablanca", dist::WorkerBackendKind::Density,
+      dist::plan_campaign_shards(spec, 1), false);
+  const auto path = (dir.path / "points.manifest").string();
+  dist::save_manifest(manifests[0], path);
+  const std::string text = read_text(path);
+  const auto at = text.find("\npoints ");
+  ASSERT_NE(at, std::string::npos);
+  const auto begin = at + 1;
+  const auto end = text.find('\n', begin) + 1;
+  const auto with_points = [&](const std::string& line) {
+    return text.substr(0, begin) + line + text.substr(end);
+  };
+
+  // A valid list (trailing blanks included) still loads in full.
+  write_text(path, with_points("points 0 1 2 3 \n"));
+  EXPECT_EQ(dist::load_manifest(path).point_indices,
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+
+  // A bad token used to end the list silently: the worker ran 2 of 4
+  // points and exited 0.
+  for (const char* line : {"points 0 1 x 3\n", "points x\n",
+                           "points 0 1 2.5\n"}) {
+    write_text(path, with_points(line));
+    try {
+      (void)dist::load_manifest(path);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad points line"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Submission, RetiredEngineKeyStillLoads) {
   TempDir dir("submission_retired");
   service::CampaignRequest request;

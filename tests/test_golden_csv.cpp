@@ -1,5 +1,7 @@
 // Golden-CSV regression: a tiny bv-2q single-fault campaign, committed at
-// tests/golden/bv2q_single.csv, diffed byte-exact against a fresh run.
+// tests/golden/bv2q_single.csv, and a one-point bv-4q double-fault campaign
+// (tests/golden/bv4q_double_30deg_1pt.csv), each diffed byte-exact against
+// a fresh run.
 // This pins the full CLI-facing output contract in one shot — the metadata
 // header comment, the column schema documented in README ("Campaign CSV
 // schema"), the %.17g number formatting, and the canonical point-ascending
@@ -15,6 +17,7 @@
 #include <string>
 
 #include "algorithms/algorithms.hpp"
+#include "backend/density_backend.hpp"
 #include "core/campaign.hpp"
 
 namespace qufi {
@@ -55,6 +58,42 @@ TEST(GoldenCsv, Bv2qSingleFaultCampaignIsByteIdenticalToCommittedFile) {
       << "campaign CSV output drifted from tests/golden/bv2q_single.csv — "
          "if the schema or determinism contract changed intentionally, "
          "regenerate the fixture and update README's CSV schema section";
+}
+
+/// The campaign behind tests/golden/bv4q_double_30deg_1pt.csv, the same run
+/// as `qufi_cli --circuit bv --width 4 --double --phi-max 180 --theta-step 30
+/// --phi-step 30 --points 1 --csv PATH`: one injection point, one neighbor,
+/// 784 configs in one batch — above kResponseMinConfigs2q, so every record
+/// comes from the two-qubit response basis. Never regenerated: a float
+/// reordering in that path must fail here, not be absorbed.
+CampaignSpec golden_double_spec() {
+  const auto bench = algo::paper_circuit("bv", 4);
+  CampaignSpec spec;
+  spec.circuit = bench.circuit;
+  spec.expected_outputs = bench.expected_outputs;
+  spec.grid.theta_step_deg = 30.0;
+  spec.grid.phi_step_deg = 30.0;
+  spec.grid.phi_max_deg = 180.0;
+  spec.max_points = 1;
+  return spec;
+}
+
+TEST(GoldenCsv, Bv4qDoubleFaultCampaignIsByteIdenticalToCommittedFile) {
+  const auto result = run_double_fault_campaign(golden_double_spec());
+  ASSERT_GE(result.records.size(),
+            backend::DensityMatrixBackend::kResponseMinConfigs2q);
+  const std::string fresh_path =
+      ::testing::TempDir() + "qufi_golden_bv4q_double.csv";
+  result.write_csv(fresh_path);
+  const std::string fresh = read_file(fresh_path);
+  const std::string golden = read_file(
+      std::string(QUFI_SOURCE_DIR) + "/tests/golden/bv4q_double_30deg_1pt.csv");
+  std::remove(fresh_path.c_str());
+
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(fresh, golden)
+      << "double-fault CSV output drifted from "
+         "tests/golden/bv4q_double_30deg_1pt.csv";
 }
 
 TEST(GoldenCsv, CommittedFilePinsTheDocumentedColumnSchema) {

@@ -143,14 +143,15 @@ struct HotPath {
     return point.qubit;
   }
 
-  /// `n` distinct single faults on the injection point's qubit, or double
-  /// faults on (point qubit, neighbor) when `two_qubit`.
-  std::vector<backend::SuffixConfig> configs(std::size_t n,
-                                             bool two_qubit) const {
+  /// `n` single faults on the injection point's qubit, or double faults on
+  /// (point qubit, neighbor) when `two_qubit`. Each primary fault repeats
+  /// over `primary_run` consecutive configs (1 = all distinct).
+  std::vector<backend::SuffixConfig> configs(
+      std::size_t n, bool two_qubit, std::size_t primary_run = 1) const {
     std::vector<backend::SuffixConfig> out;
     for (std::size_t i = 0; i < n; ++i) {
-      const PhaseShiftFault primary{0.01 * static_cast<double>(i + 1),
-                                    0.02 * static_cast<double>(i)};
+      const auto p = static_cast<double>(i / primary_run);
+      const PhaseShiftFault primary{0.01 * (p + 1), 0.02 * p};
       backend::SuffixConfig config{{primary.as_instruction(point.qubit)}, i};
       if (two_qubit) {
         const PhaseShiftFault secondary{0.03 * static_cast<double>(i), 0.5};
@@ -174,8 +175,9 @@ struct HotPath {
 
   /// Warms the snapshot (compiled suffix, response basis) with one batch of
   /// n2 configs, then checks the steady-state batches of n1 < n2 configs.
-  void expect_alloc_invariant(bool two_qubit, std::size_t n1, std::size_t n2) {
-    const auto all = configs(n2, two_qubit);
+  void expect_alloc_invariant(bool two_qubit, std::size_t n1, std::size_t n2,
+                              std::size_t primary_run = 1) {
+    const auto all = configs(n2, two_qubit, primary_run);
     batch_allocs(all, n2);
     const std::uint64_t a1 = batch_allocs(all, n1);
     const std::uint64_t a2 = batch_allocs(all, n2);
@@ -199,6 +201,15 @@ TEST(HotPathAlloc, TwoQubitResponseGroupAllocatesOnlyTheResult) {
   ASSERT_NE(h.neighbor(), h.point.qubit);
   // At and above kResponseMinConfigs2q: one 2-qubit response group.
   h.expect_alloc_invariant(true, 512, 1024);
+}
+
+TEST(HotPathAlloc, RepeatedPrimaryFaultsAllocateOnlyTheResult) {
+  HotPath h;
+  // Primary faults repeat over runs of 16 configs, as a campaign grid
+  // enumerates them: the slot-channel build restarts from the cached
+  // primary units, and that warm path allocates nothing either.
+  h.expect_alloc_invariant(true, 512, 1024, 16);
+  h.expect_alloc_invariant(false, 64, 128, 16);
 }
 
 TEST(HotPathAlloc, ReplayPathAllocatesOnlyTheResult) {

@@ -6,6 +6,8 @@
 // active neighbor).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "algorithms/algorithms.hpp"
@@ -329,6 +331,91 @@ TEST(SuffixResponse, LargeTwoQubitBatchMatchesSequentialRunSuffix) {
         *snapshot, configs[c].injected, 0, configs[c].seed);
     for (std::size_t s = 0; s < sequential.probabilities.size(); ++s) {
       EXPECT_NEAR(batched[c].probabilities[s], sequential.probabilities[s],
+                  1e-12)
+          << "config " << c << " state " << s;
+    }
+  }
+}
+
+TEST(SuffixResponse, PrimaryGateReuseIsBitIdenticalToAColdOrder) {
+  auto spec = quick_spec("bv", 4);
+  const auto transpiled = campaign_transpile(spec);
+  const auto pairs = campaign_point_neighbor_pairs(spec);
+  ASSERT_FALSE(pairs.empty());
+  const auto& [point, neighbor] = pairs[pairs.size() / 2];
+
+  backend::DensityMatrixBackend backend(
+      noise::NoiseModel::from_backend(spec.backend, 1.0));
+  const auto snapshot =
+      backend.prepare_prefix(transpiled.circuit, point.split_index());
+
+  // 24 primaries x 24 secondaries on one (point, neighbor) pair: a single
+  // two-qubit response group. Primary 1 differs from primary 0 only in the
+  // sign of its zero phi, so it must not reuse primary 0's evolved units.
+  constexpr int kPrimaries = 24;
+  constexpr int kSecondaries = 24;
+  const auto primary = [](int i) {
+    if (i == 0) return PhaseShiftFault{0.7, 0.0};
+    if (i == 1) return PhaseShiftFault{0.7, -0.0};
+    return PhaseShiftFault{0.13 * i, 0.29 * i};
+  };
+  const auto config = [&](int i, int j) {
+    const PhaseShiftFault secondary{0.11 * j, 0.07 * j};
+    return backend::SuffixConfig{
+        {primary(i).as_instruction(point.qubit),
+         secondary.as_instruction(neighbor)},
+        static_cast<std::uint64_t>(i * kSecondaries + j)};
+  };
+
+  // Runs: each primary repeats over every secondary, the campaign order in
+  // which the slot-channel build restarts from the primary's cached units;
+  // the -0.0 primary's run directly follows the +0.0 one. Cold: primaries
+  // step by 5 (coprime to 24) from primary 3, so no two neighboring
+  // configs share a primary, the +0.0 / -0.0 pair is never adjacent, and
+  // the two orders start from different primaries.
+  const auto cold_primary = [](int k) { return (5 * k + 3) % kPrimaries; };
+  std::vector<backend::SuffixConfig> runs;
+  std::vector<backend::SuffixConfig> cold;
+  for (int i = 0; i < kPrimaries; ++i) {
+    for (int j = 0; j < kSecondaries; ++j) runs.push_back(config(i, j));
+  }
+  for (int j = 0; j < kSecondaries; ++j) {
+    for (int k = 0; k < kPrimaries; ++k) {
+      cold.push_back(config(cold_primary(k), j));
+    }
+  }
+  ASSERT_GE(runs.size(), backend::DensityMatrixBackend::kResponseMinConfigs2q);
+
+  const auto from_runs = backend.run_suffix_batch(*snapshot, runs, 0);
+  const auto from_cold = backend.run_suffix_batch(*snapshot, cold, 0);
+  ASSERT_EQ(from_runs.size(), runs.size());
+  ASSERT_EQ(from_cold.size(), cold.size());
+  for (int j = 0; j < kSecondaries; ++j) {
+    for (int k = 0; k < kPrimaries; ++k) {
+      const int i = cold_primary(k);
+      const auto& a = from_runs[static_cast<std::size_t>(
+                                    i * kSecondaries + j)]
+                          .probabilities;
+      const auto& b = from_cold[static_cast<std::size_t>(
+                                    j * kPrimaries + k)]
+                          .probabilities;
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t s = 0; s < a.size(); ++s) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a[s]),
+                  std::bit_cast<std::uint64_t>(b[s]))
+            << "primary " << i << " secondary " << j << " state " << s;
+      }
+    }
+  }
+  // A cache hit on the wrong primary would be wrong in both orders alike;
+  // per-config re-simulation pins the values themselves.
+  for (std::size_t c = 0; c < runs.size(); ++c) {
+    const auto sequential =
+        backend.run_suffix(*snapshot, runs[c].injected, 0, runs[c].seed);
+    ASSERT_EQ(from_runs[c].probabilities.size(),
+              sequential.probabilities.size());
+    for (std::size_t s = 0; s < sequential.probabilities.size(); ++s) {
+      EXPECT_NEAR(from_runs[c].probabilities[s], sequential.probabilities[s],
                   1e-12)
           << "config " << c << " state " << s;
     }
